@@ -70,9 +70,6 @@ class EntourageChain:
     def levels(self):
         return self._levels
 
-    def is_tower(self) -> bool:
-        return isinstance(self, Tower)
-
     def __eq__(self, other):
         if not isinstance(other, EntourageChain):
             return NotImplemented
@@ -117,13 +114,11 @@ class Tower(EntourageChain):
         if any(v != 0 for v in labels[-1]):
             raise ValueError("the top level must be a single block")
         for i in range(len(labels) - 1):
-            parent = {}
-            for x in range(n):
-                got = parent.setdefault(labels[i][x], labels[i + 1][x])
-                if got != labels[i + 1][x]:
-                    raise ValueError(
-                        f"level {i} does not refine level {i + 1} (class split at point {x})"
-                    )
+            x = _split_point(labels[i], labels[i + 1])
+            if x is not None:
+                raise ValueError(
+                    f"level {i} does not refine level {i + 1} (class split at point {x})"
+                )
         self.n = n
         self.labels = tuple(labels)
         self._level_cache: dict = {}
@@ -215,6 +210,16 @@ class Tower(EntourageChain):
         return f"<Tower n={self.n} levels=0..{self.k}>"
 
 
+def _split_point(fine, coarse) -> Optional[int]:
+    """The first point whose class in the label row fine is split by the
+    label row coarse; None when fine refines coarse."""
+    parent: dict = {}
+    for x, (a, b) in enumerate(zip(fine, coarse)):
+        if parent.setdefault(a, b) != b:
+            return x
+    return None
+
+
 def _canonical_labels(row) -> tuple:
     """Renumber class ids by first occurrence."""
     seen: dict = {}
@@ -302,7 +307,13 @@ class ValidationReport:
 
 def validate(chain: EntourageChain) -> ValidationReport:
     """Check every chain invariant, reporting violations with witnesses, and
-    record for each level the least level absorbing its self-composition."""
+    record for each level the least level absorbing its self-composition.
+
+    A Tower is valid by construction (its constructor enforces the chain
+    invariants) and each of its levels, an equivalence relation, absorbs
+    its own square, so no matrix is built for it."""
+    if isinstance(chain, Tower):
+        return ValidationReport(True, (), tuple(range(chain.num_levels)))
     issues = []
     n = chain.n
     diag = np.eye(n, dtype=bool)
@@ -330,8 +341,8 @@ def validate(chain: EntourageChain) -> ValidationReport:
         issues.append(f"level {chain.k}: must be the full relation: missing ({x}, {y})")
     absorption = []
     for i in range(chain.num_levels):
-        m = chain.level(i).astype(np.uint8)
-        sq = (m @ m) > 0
+        m = chain.level(i)
+        sq = m @ m
         j = next(
             (j for j in range(i, chain.num_levels) if not (sq & ~chain.level(j)).any()),
             None,
@@ -487,8 +498,7 @@ def is_cellular(chain: EntourageChain) -> bool:
         return True
     for i in range(chain.num_levels):
         m = chain.level(i)
-        sq = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-        if (sq & ~m).any():
+        if ((m @ m) & ~m).any():
             return False
     return True
 
@@ -606,9 +616,54 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def _is_natural(tok: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts superscripts and other
+    Unicode digits, which int() then rejects or reads unexpectedly."""
+    return tok.isascii() and tok.isdigit()
+
+
+def _parse_cells(body: str, n: int, lineno: int) -> list:
+    """A `cells:` body as a label row (cell index per point)."""
+    row = [-1] * n
+    for ci, cell_text in enumerate(body.split("|")):
+        for tok in cell_text.split():
+            if not _is_natural(tok):
+                raise FormatError(f"bad point {tok!r}", lineno)
+            p = int(tok)
+            if not 0 <= p < n:
+                raise FormatError(f"point {p} out of range 0..{n - 1}", lineno)
+            if row[p] != -1:
+                raise FormatError(f"point {p} listed twice", lineno)
+            row[p] = ci
+    if -1 in row:
+        raise FormatError(f"point {row.index(-1)} missing", lineno)
+    return row
+
+
+def _parse_pairs(body: str, n: int, lineno: int) -> np.ndarray:
+    """A `pairs:` body as a reflexive symmetric relation matrix."""
+    m = np.eye(n, dtype=bool)
+    for tok in body.split():
+        if not (tok.startswith("(") and tok.endswith(")")):
+            raise FormatError(f"bad pair {tok!r}", lineno)
+        nums = [s.strip() for s in tok[1:-1].split(",")]
+        if len(nums) != 2 or not all(_is_natural(s) for s in nums):
+            raise FormatError(f"bad pair {tok!r}", lineno)
+        a, b = (int(s) for s in nums)
+        if a == b:
+            raise FormatError(f"diagonal pair {tok}", lineno)
+        if not (0 <= a < n and 0 <= b < n):
+            raise FormatError(f"pair {tok} out of range", lineno)
+        m[a, b] = m[b, a] = True
+    return m
+
+
 def parse_ballean(text: str) -> EntourageChain:
     """Parse the ballean text format; returns a Tower when every level is
-    an equivalence relation, a general EntourageChain otherwise."""
+    an equivalence relation, a general EntourageChain otherwise.
+
+    A file whose levels are all `cells:` becomes label rows directly; the
+    n x n relation matrices are built only when some level lists pairs."""
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "ballean v1":
         raise FormatError("expected header 'ballean v1'", lines[0][0] if lines else 1)
@@ -619,7 +674,7 @@ def parse_ballean(text: str) -> EntourageChain:
             raise FormatError(f"missing '{key} N' line", lines[-1][0])
         lineno, line = lines[idx]
         parts = line.split()
-        if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != key or not _is_natural(parts[1]):
             raise FormatError(f"expected '{key} N'", lineno)
         header[key] = int(parts[1])
     n, k = header["points"], header["levels"]
@@ -633,7 +688,7 @@ def parse_ballean(text: str) -> EntourageChain:
             raise FormatError("expected a 'level i cells:'/'level i pairs:' line", lineno)
         rest = line[len("level "):]
         parts = rest.split(None, 1)
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2 or not _is_natural(parts[0]):
             raise FormatError("expected 'level i cells:' or 'level i pairs:'", lineno)
         i = int(parts[0])
         if not 1 <= i <= k - 1:
@@ -649,54 +704,30 @@ def parse_ballean(text: str) -> EntourageChain:
         if i not in seen:
             raise FormatError(f"missing level {i}", lines[-1][0])
 
-    diag = np.eye(n, dtype=bool)
-    mats = [diag]
-    level_line = {0: lines[0][0]}
-    for i in range(1, k):
-        lineno, kind, body = seen[i]
-        level_line[i] = lineno
-        m = diag.copy()
-        if kind == "cells":
-            assigned = [False] * n
-            for cell_text in body.split("|"):
-                cell = []
-                for tok in cell_text.split():
-                    if not tok.isdigit():
-                        raise FormatError(f"bad point {tok!r}", lineno)
-                    p = int(tok)
-                    if not 0 <= p < n:
-                        raise FormatError(f"point {p} out of range 0..{n - 1}", lineno)
-                    if assigned[p]:
-                        raise FormatError(f"point {p} listed twice", lineno)
-                    assigned[p] = True
-                    cell.append(p)
-                for a in cell:
-                    for b in cell:
-                        m[a, b] = True
-            if not all(assigned):
-                raise FormatError(f"point {assigned.index(False)} missing", lineno)
-        else:
-            for tok in body.split():
-                if not (tok.startswith("(") and tok.endswith(")")):
-                    raise FormatError(f"bad pair {tok!r}", lineno)
-                nums = tok[1:-1].split(",")
-                if len(nums) != 2 or not all(s.strip().isdigit() for s in nums):
-                    raise FormatError(f"bad pair {tok!r}", lineno)
-                a, b = (int(s) for s in nums)
-                if a == b:
-                    raise FormatError(f"diagonal pair {tok}", lineno)
-                if not (0 <= a < n and 0 <= b < n):
-                    raise FormatError(f"pair {tok} out of range", lineno)
-                m[a, b] = m[b, a] = True
-        mats.append(m)
-    if k >= 1:
-        mats.append(np.ones((n, n), dtype=bool))
-    level_line[k] = lines[0][0]
+    # level i + 1's line is blamed when level i is not contained in it; the
+    # top level is implicit, so the header line stands for it
+    level_line = [seen[i][0] for i in range(1, k)] + [lines[0][0]]
+    middle = [
+        (_parse_cells if kind == "cells" else _parse_pairs)(body, n, lineno)
+        for lineno, kind, body in (seen[i] for i in range(1, k))
+    ]
+    if all(seen[i][1] == "cells" for i in range(1, k)):
+        rows = [list(range(n)), *middle] + ([[0] * n] if k >= 1 else [])
+        for i in range(1, len(rows) - 1):
+            if _split_point(rows[i], rows[i + 1]) is not None:
+                raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
+        return Tower(rows)
+
+    mats = [np.eye(n, dtype=bool)]
+    for level in middle:
+        if isinstance(level, list):
+            row = np.asarray(level)
+            level = row[:, None] == row[None, :]
+        mats.append(level)
+    mats.append(np.ones((n, n), dtype=bool))
     for i in range(len(mats) - 1):
         if (mats[i] & ~mats[i + 1]).any():
-            raise FormatError(
-                f"level {i} is not contained in level {i + 1}", level_line.get(i + 1, lines[0][0])
-            )
+            raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
     chain = EntourageChain(mats)
     if is_cellular(chain):
         return Tower([_canonical_labels(_components_labels(m)) for m in mats])

@@ -23,7 +23,12 @@ constant shifts <= s exists, one exists of the form
 graph(f) union graph(g)^-1 for single-valued selections f, g (a subset of
 an equivalence keeps totality and surjectivity witnesses by construction
 and only shrinks oscillations), and the backtracking enumerates exactly
-those.  Every returned witness is rechecked by check_equivalence.
+those.  The search does not recheck its witness; callers that need it
+checked run check_equivalence on it.
+
+Coarseness checks between two towers work on the label rows through the
+target's level ultrametric and build no matrices; any other pair of chains
+goes through the dense oscillation matrices, which stay the reference.
 """
 
 from __future__ import annotations
@@ -161,10 +166,10 @@ class ShiftFn:
 
 def oscillation(phi: MultiMap, alpha: int) -> np.ndarray:
     """All pairs Phi(x) x Phi(x') over (x, x') in the source level-alpha
-    entourage, as a boolean relation on the target."""
-    p = phi.matrix().astype(np.uint8)
-    e = phi.source.level(alpha).astype(np.uint8)
-    return (p.T @ e @ p) > 0
+    entourage, as a boolean relation on the target.  Boolean matrix
+    products are exact: no witness count can wrap."""
+    p = phi.matrix()
+    return p.T @ phi.source.level(alpha) @ p
 
 
 @dataclass(frozen=True)
@@ -179,43 +184,134 @@ class CoarseReport:
         return f"oscillation escapes at level {self.fail_level}, witness {self.witness}"
 
 
-def check_coarse(phi: MultiMap, shift: ShiftFn) -> CoarseReport:
-    """Does every oscillation fit in the shifted target level?  On failure,
-    the least bad source level and one escaping pair."""
-    if len(shift.table) != phi.source.num_levels or shift.target_k != phi.target.k:
-        raise ValueError("shift table does not match the chains")
-    for alpha in range(phi.source.num_levels):
-        osc = oscillation(phi, alpha)
-        tgt = phi.target.level(shift(alpha))
-        bad = osc & ~tgt
-        if bad.any():
-            u, v = np.argwhere(bad)[0]
-            return CoarseReport(False, alpha, (int(u), int(v)))
+class _DenseFit:
+    """Oscillations of a map between general chains, as matrices."""
+
+    def __init__(self, phi: MultiMap):
+        self.target = phi.target
+        self.oscs = [oscillation(phi, a) for a in range(phi.source.num_levels)]
+
+    def fits(self, alpha: int, j: int) -> bool:
+        """Does the level-alpha oscillation lie in target level j?"""
+        return not (self.oscs[alpha] & ~self.target.level(j)).any()
+
+    def witness(self, alpha: int, j: int) -> tuple:
+        """The least escaping pair in lexicographic order."""
+        u, v = np.argwhere(self.oscs[alpha] & ~self.target.level(j))[0]
+        return int(u), int(v)
+
+
+class _TowerFit:
+    """Oscillations of a map between towers, from the label rows alone.
+
+    The level-alpha oscillation is the union of phi(C) x phi(C) over the
+    level-alpha classes C, so it lies in target level j exactly when the
+    target labels at j are constant on every phi(C).  The least such j for
+    one C is the diameter of phi(C) in the target's level ultrametric, and
+    in an ultrametric the diameter of a union is the largest of the parts'
+    diameters and the distances from one part's point to a point of each
+    other part.  So the diameters climb the source levels class by class,
+    each class keeping one image point as its representative.  reach[alpha]
+    is the largest such diameter at level alpha.
+    """
+
+    def __init__(self, phi: MultiMap):
+        X, Y = phi.source, phi.target
+        self.phi = phi
+        cols = tuple(zip(*Y.labels))
+
+        def dist(a: int, b: int) -> int:
+            ca, cb = cols[a], cols[b]
+            j = 0
+            while ca[j] != cb[j]:
+                j += 1
+            return j
+
+        # level 0: the classes are the points themselves
+        rep = [None] * X.n
+        diam = [0] * X.n
+        for x, y in phi.pairs:
+            r = rep[x]
+            if r is None:
+                rep[x] = y
+            else:
+                d = dist(r, y)
+                if d > diam[x]:
+                    diam[x] = d
+        self.reach = [max(diam)]
+        for alpha in range(1, X.num_levels):
+            down, up = X.labels[alpha - 1], X.labels[alpha]
+            if up != down:
+                parent = [0] * len(rep)
+                for c, p in zip(down, up):
+                    parent[c] = p
+                up_rep = [None] * (max(up) + 1)
+                up_diam = [0] * len(up_rep)
+                for c, r in enumerate(rep):
+                    if r is None:
+                        continue
+                    p = parent[c]
+                    d = diam[c]
+                    q = up_rep[p]
+                    if q is None:
+                        up_rep[p] = r
+                    else:
+                        d = max(d, dist(q, r))
+                    if d > up_diam[p]:
+                        up_diam[p] = d
+                rep, diam = up_rep, up_diam
+            self.reach.append(max(diam))
+
+    def fits(self, alpha: int, j: int) -> bool:
+        return self.reach[alpha] <= j
+
+    def witness(self, alpha: int, j: int) -> tuple:
+        """The least escaping pair (u, v), as the dense path's argwhere
+        would give it: u is the least point of a failing image, v the least
+        point outside u's level-j class in a failing image holding u."""
+        cls, tgt = self.phi.source.labels[alpha], self.phi.target.labels[j]
+        images: dict = {}
+        for x, y in self.phi.pairs:
+            images.setdefault(cls[x], set()).add(y)
+        failing = [img for img in images.values() if len({tgt[y] for y in img}) > 1]
+        u = min(min(img) for img in failing)
+        v = min(y for img in failing if u in img for y in img if tgt[y] != tgt[u])
+        return u, v
+
+
+def _fit(phi: MultiMap):
+    if isinstance(phi.source, Tower) and isinstance(phi.target, Tower):
+        return _TowerFit(phi)
+    return _DenseFit(phi)
+
+
+def _coarse(fit, shift: ShiftFn) -> CoarseReport:
+    for alpha, j in enumerate(shift.table):
+        if not fit.fits(alpha, j):
+            return CoarseReport(False, alpha, fit.witness(alpha, j))
     return CoarseReport(True, None, None)
 
 
-def _constrained_levels(k: int) -> range:
-    # every proper level plus the bottom; the top is exempt unless it is
-    # also the bottom (see module docstring)
-    return range(max(k, 1))
-
-
-def _min_constant_shift_from(oscs, tgt: EntourageChain) -> int:
-    s = 0
-    j = 0
-    for alpha, osc in enumerate(oscs):
-        while j <= tgt.k and (osc & ~tgt.level(j)).any():
+def _least_shift(fit, source_k: int, target_k: int) -> int:
+    """Least s such that the constant-s table makes the map coarse; only
+    every proper source level plus the bottom is constrained (see module
+    docstring)."""
+    s = j = 0
+    for alpha in range(max(source_k, 1)):
+        while j <= target_k and not fit.fits(alpha, j):
             j += 1
-        if j > tgt.k:
+        if j > target_k:
             raise ValueError("oscillation escapes even the top level; invalid target chain")
         s = max(s, j - alpha)
     return s
 
 
-def _min_constant_shift(phi: MultiMap) -> int:
-    """Least s such that the constant-s table makes phi coarse."""
-    oscs = [oscillation(phi, a) for a in _constrained_levels(phi.source.k)]
-    return _min_constant_shift_from(oscs, phi.target)
+def check_coarse(phi: MultiMap, shift: ShiftFn) -> CoarseReport:
+    """Does every oscillation fit in the shifted target level?  On failure,
+    the least bad source level and its least escaping pair."""
+    if len(shift.table) != phi.source.num_levels or shift.target_k != phi.target.k:
+        raise ValueError("shift table does not match the chains")
+    return _coarse(_fit(phi), shift)
 
 
 @dataclass(frozen=True)
@@ -255,31 +351,21 @@ def check_equivalence(
     """
     total = phi.is_total()
     surjective = phi.is_surjective()
-    inv = inverse(phi)
-
-    def coarse_from(oscs, table: ShiftFn, tgt) -> CoarseReport:
-        for alpha, osc in enumerate(oscs):
-            bad = osc & ~tgt.level(table(alpha))
-            if bad.any():
-                u, v = np.argwhere(bad)[0]
-                return CoarseReport(False, alpha, (int(u), int(v)))
-        return CoarseReport(True, None, None)
-
-    oscs_fwd = [oscillation(phi, a) for a in range(phi.source.num_levels)]
-    oscs_bwd = [oscillation(inv, a) for a in range(phi.target.num_levels)]
+    fit_fwd = _fit(phi)
+    fit_bwd = _fit(inverse(phi))
     fwd_rep = bwd_rep = None
     if fwd is not None:
         if len(fwd.table) != phi.source.num_levels or fwd.target_k != phi.target.k:
             raise ValueError("forward shift table does not match the chains")
-        fwd_rep = coarse_from(oscs_fwd, fwd, phi.target)
+        fwd_rep = _coarse(fit_fwd, fwd)
     if bwd is not None:
         if len(bwd.table) != phi.target.num_levels or bwd.target_k != phi.source.k:
             raise ValueError("backward shift table does not match the chains")
-        bwd_rep = coarse_from(oscs_bwd, bwd, phi.source)
+        bwd_rep = _coarse(fit_bwd, bwd)
     s = t = None
     if total and surjective:
-        s = _min_constant_shift_from(oscs_fwd[: max(phi.source.k, 1)], phi.target)
-        t = _min_constant_shift_from(oscs_bwd[: max(phi.target.k, 1)], phi.source)
+        s = _least_shift(fit_fwd, phi.source.k, phi.target.k)
+        t = _least_shift(fit_bwd, phi.target.k, phi.source.k)
     passed = (
         total
         and surjective

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -24,6 +25,7 @@ from coarsekit.balleans import (
     subspace,
     validate,
 )
+from families import exhaustive_towers
 
 
 def three_point_tower():
@@ -81,6 +83,26 @@ def test_validate_flags_bad_top_and_base():
     assert not rep.valid
     assert any("diagonal" in s for s in rep.issues)
     assert any("full relation" in s for s in rep.issues)
+
+
+def test_validate_tower_matches_dense_chain():
+    rng = random.Random(3)
+    for _ in range(50):
+        t = random_tower(rng)
+        assert validate(t) == validate(EntourageChain(t.levels()))
+        assert validate(t).absorption == tuple(range(t.num_levels))
+
+
+def test_self_composition_exact_at_256_witnesses():
+    # x = 256 and z = 257 share all 256 neighbours 0..255 but are not
+    # related: (x, z) has 256 witnesses in the square, which a uint8
+    # product wraps to 0, hiding the only non-transitive pair
+    n = 258
+    m = np.ones((n, n), dtype=bool)
+    m[256, 257] = m[257, 256] = False
+    chain = EntourageChain([np.eye(n, dtype=bool), m, np.ones((n, n), dtype=bool)])
+    assert not is_cellular(chain)
+    assert validate(chain).absorption == (0, 2, 2)
 
 
 def test_tower_constructor_rejects_non_refinement():
@@ -351,3 +373,87 @@ def test_parse_transitive_pairs_becomes_tower():
     t = parse_ballean(text)
     assert isinstance(t, Tower)
     assert t.labels[1] == (0, 0, 1)
+
+
+def as_pairs(text):
+    """The same file with every cells: level spelled out as pairs:, which
+    parse_ballean reads through the dense relation matrices."""
+    out = []
+    for line in text.splitlines():
+        head, sep, body = line.partition(" cells:")
+        if sep:
+            pairs = [
+                f"({a},{b})"
+                for cell in body.split("|")
+                for a, b in itertools.combinations(sorted(int(p) for p in cell.split()), 2)
+            ]
+            line = f"{head} pairs: {' '.join(pairs)}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+NON_NESTED_CELLS = [
+    # level 1 not in level 2, an intermediate level (error on level 2's line)
+    "ballean v1\npoints 4\nlevels 4\n"
+    "level 1 cells: 0 1 | 2 3\nlevel 2 cells: 0 2 | 1 3\nlevel 3 cells: 0 1 2 3\n",
+    # level 2 not in level 3, the top listed level
+    "ballean v1\npoints 4\nlevels 4\n"
+    "level 1 cells: 0 1 | 2 3\nlevel 2 cells: 0 1 | 2 3\nlevel 3 cells: 0 2 | 1 3\n",
+    # the same with the level lines in reverse order
+    "ballean v1\npoints 4\nlevels 4\n"
+    "level 3 cells: 0 2 | 1 3\nlevel 2 cells: 0 1 | 2 3\nlevel 1 cells: 0 1 | 2 3\n",
+]
+
+
+def test_cells_files_parse_as_their_pairs_spelling():
+    """Label rows read straight from cells: lines give the Tower, or the
+    FormatError, that the dense path gives for the same levels."""
+    rng = random.Random(6)
+    texts = [
+        "ballean v1\npoints 4 # four points\nlevels 2\nlevel 1 cells: 0 1 | 2 3\n",
+        "ballean v1\npoints 3\nlevels 2\nlevel 1 cells: 0 | 1 2\n",
+        "ballean v1\npoints 4\nlevels 3\n"
+        "level 1 cells: 0 1 | 2 3\nlevel 2 cells: 0 2 | 1 3\n",
+        format_ballean(gen_product([2, 2, 2])),
+        *NON_NESTED_CELLS,
+        *(format_ballean(t) for t in exhaustive_towers(4)),
+        *(format_ballean(random_tower(rng)) for _ in range(25)),
+    ]
+    for text in texts:
+        try:
+            want = parse_ballean(as_pairs(text))
+        except FormatError as e:
+            with pytest.raises(FormatError) as ei:
+                parse_ballean(text)
+            assert (str(ei.value), ei.value.line) == (str(e), e.line)
+        else:
+            got = parse_ballean(text)
+            assert isinstance(got, Tower) and got == want
+
+
+def test_non_nested_cells_report_the_coarser_line():
+    for text, msg, line in zip(
+        NON_NESTED_CELLS,
+        ["level 1 is not contained in level 2"] + ["level 2 is not contained in level 3"] * 2,
+        [5, 6, 4],
+    ):
+        with pytest.raises(FormatError) as ei:
+            parse_ballean(text)
+        assert str(ei.value) == f"line {line}: {msg}"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ballean v1\npoints \u00b2\nlevels 1\n", 2),
+        ("ballean v1\npoints \u0663\nlevels 1\n", 2),
+        ("ballean v1\npoints 2\nlevels \u00b2\n", 3),
+        ("ballean v1\npoints 2\nlevels 2\nlevel \u00b9 cells: 0 | 1\n", 4),
+        ("ballean v1\npoints 2\nlevels 2\nlevel 1 cells: 0 | \u00b9\n", 4),
+        ("ballean v1\npoints 3\nlevels 2\nlevel 1 pairs: (0,\u00b9)\n", 4),
+    ],
+)
+def test_parse_accepts_only_ascii_naturals(text, line):
+    with pytest.raises(FormatError) as ei:
+        parse_ballean(text)
+    assert ei.value.line == line

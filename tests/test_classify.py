@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from coarsekit.balleans import Tower, gen_product, spectrum
+from coarsekit.balleans import EntourageChain, Tower, gen_product, spectrum
 from coarsekit.classify import (
     Certificate,
     build_equivalence,
@@ -305,6 +306,20 @@ def test_certificate_shift_line_not_trusted():
     )
     res = verify_certificate(text)
     assert not res.ok and "disagree" in res.reason
+
+
+def test_verify_counts_do_not_wrap():
+    # each level-1 class of X sends 16 points to each of 0 and 2 (or 1 and
+    # 3), which sit in different level-1 classes of Y: 16 x 16 = 256
+    # witnesses of the escaping pair, 0 in uint8 arithmetic
+    X, Y = gen_product([32, 2]), gen_product([2, 2])
+    pairs = tuple((x, (0 if x % 32 < 16 else 2) + x // 32) for x in range(64))
+    cert = Certificate(X, Y, pairs, (0, 1, 2), (1, 2, 2), (), 0, 1)
+    want = "forward coarseness fails: oscillation escapes at level 1, witness (0, 2)"
+    res = verify_certificate(format_certificate(cert))
+    assert not res.ok and res.reason == want
+    dense = replace(cert, x_tower=EntourageChain(X.levels()), y_tower=EntourageChain(Y.levels()))
+    assert verify_certificate(dense).reason == want
 
 
 def test_cumulative_products_helper():

@@ -106,6 +106,21 @@ def test_inspect_malformed_exit_2(tmp_path):
     assert code == 2 and "line 4" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ballean v1\npoints \u00b2\nlevels 1\n", 2),
+        ("ballean v1\npoints 2\nlevels 2\nlevel 1 cells: 0 | \u00b9\n", 4),
+    ],
+)
+def test_inspect_non_ascii_digit_exit_2(tmp_path, text, line):
+    path = tmp_path / "bad.ballean"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(["inspect", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"coarsekit: line {line}: ")
+
+
 # --- coordinatize ----------------------------------------------------------------
 
 def test_coordinatize_output(tmp_path):

@@ -28,6 +28,7 @@ from coarsekit.multimaps import (
     parse_multimap,
     search_equivalence,
 )
+from families import random_tower
 
 
 def tuple_index_map(x_tower, y_tower):
@@ -59,6 +60,16 @@ def test_oscillation_full_relation():
     s = gen_product([2])
     t = gen_product([3])
     phi = MultiMap(s, t, itertools.product(range(2), range(3)))
+    assert oscillation(phi, 1).all()
+
+
+def test_oscillation_counts_do_not_wrap():
+    # 256 sources on one target point: a uint8 product counts 256 x 256
+    # witnesses for (0, 0) and wraps to 0
+    phi = MultiMap(
+        gen_product([256]), Tower([[0, 1], [0, 0]]), [(x, 0) for x in range(256)] + [(0, 1)]
+    )
+    assert oscillation(phi, 1)[0, 0]
     assert oscillation(phi, 1).all()
 
 
@@ -127,6 +138,43 @@ def test_monotone_in_shift():
                 phi, ShiftFn.constant(s, x.k, y.k), ShiftFn.constant(t, y.k, x.k)
             )
             assert rep.passed == (t >= 1)
+
+
+def dense(tower):
+    return EntourageChain(tower.levels())
+
+
+def random_relation(rng, X, Y):
+    kind = rng.randrange(4)
+    if kind == 0:  # a function, not necessarily surjective
+        return {(x, rng.randrange(Y.n)) for x in range(X.n)}
+    if kind == 1:  # total and surjective
+        pairs = {(x, rng.randrange(Y.n)) for x in range(X.n)}
+        return pairs | {(rng.randrange(X.n), y) for y in range(Y.n)}
+    density = rng.random()
+    return {(x, y) for x in range(X.n) for y in range(Y.n) if rng.random() < density}
+
+
+def random_table(rng, source_k, target_k):
+    return ShiftFn(sorted(rng.randint(0, target_k) for _ in range(source_k + 1)), target_k)
+
+
+def test_tower_checks_match_dense_chains():
+    """The label-native path on towers gives the whole report of the dense
+    matrix path on the same levels, failing level and witness included."""
+    rng = random.Random(23)
+    for _ in range(2000):
+        X = random_tower(rng, 12, 4)
+        Y = random_tower(rng, 12, 4)
+        pairs = random_relation(rng, X, Y)
+        phi = MultiMap(X, Y, pairs)
+        ref = MultiMap(dense(X), dense(Y), pairs)
+        fwd = bwd = None
+        if rng.random() < 0.5:
+            fwd, bwd = random_table(rng, X.k, Y.k), random_table(rng, Y.k, X.k)
+        assert check_equivalence(phi, fwd, bwd) == check_equivalence(ref, fwd, bwd)
+        table = random_table(rng, X.k, Y.k)
+        assert check_coarse(phi, table) == check_coarse(ref, table)
 
 
 # --- compose / inverse ------------------------------------------------------------
