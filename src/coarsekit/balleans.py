@@ -188,12 +188,13 @@ class Tower(EntourageChain):
         return self.labels[i][x]
 
     def dist_matrix(self) -> np.ndarray:
-        """level_dist for all pairs at once."""
+        """level_dist for all pairs at once, in the smallest unsigned dtype:
+        the distance of two points counts the proper levels separating them."""
         if self._dist is None:
-            d = np.full((self.n, self.n), self.k, dtype=np.int64)
-            for i in range(self.k - 1, -1, -1):
-                row = np.asarray(self.labels[i])
-                d[row[:, None] == row[None, :]] = i
+            d = np.zeros((self.n, self.n), dtype=np.min_scalar_type(self.k))
+            for row in self.labels[:-1]:
+                r = np.asarray(row)
+                d += r[:, None] != r[None, :]
             d.setflags(write=False)
             self._dist = d
         return self._dist

@@ -20,7 +20,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .balleans import FormatError, Tower, _meaningful_lines, format_ballean, parse_ballean, spectrum
+from .balleans import (
+    FormatError,
+    Tower,
+    _is_natural,
+    _meaningful_lines,
+    format_ballean,
+    parse_ballean,
+    spectrum,
+)
 from .coordinates import coordinatize
 from .multimaps import (
     EquivalenceReport,
@@ -360,7 +368,7 @@ def format_certificate(cert: Certificate) -> str:
 
 def _parse_int_list(body: str, lineno: int) -> tuple:
     vals = body.split()
-    if not vals or not all(v.isdigit() for v in vals):
+    if not vals or not all(_is_natural(v) for v in vals):
         raise FormatError("expected a list of naturals", lineno)
     return tuple(int(v) for v in vals)
 
@@ -404,7 +412,7 @@ def parse_certificate(text: str) -> Certificate:
     while pos < len(lines) and lines[pos][1].startswith("pair "):
         lineno, line = lines[pos]
         parts = line.split()
-        if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+        if len(parts) != 3 or not _is_natural(parts[1]) or not _is_natural(parts[2]):
             raise FormatError("expected 'pair x y'", lineno)
         pairs.append((int(parts[1]), int(parts[2])))
         pos += 1
@@ -432,8 +440,8 @@ def parse_certificate(text: str) -> Certificate:
         len(parts) != 2
         or not parts[0].startswith("s=")
         or not parts[1].startswith("t=")
-        or not parts[0][2:].isdigit()
-        or not parts[1][2:].isdigit()
+        or not _is_natural(parts[0][2:])
+        or not _is_natural(parts[1][2:])
     ):
         raise FormatError("expected 'verified: pass s=N t=N'", lineno)
     s, t = int(parts[0][2:]), int(parts[1][2:])

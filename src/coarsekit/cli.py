@@ -16,6 +16,7 @@ from . import __version__
 from .balleans import (
     FormatError,
     Tower,
+    _is_natural,
     format_ballean,
     gen_interval,
     gen_product,
@@ -70,7 +71,7 @@ def _require_tower(chain, path: str) -> Tower:
 
 def _parse_int_csv(text: str, what: str):
     parts = [p for p in text.split(",") if p != ""]
-    if not parts or not all(p.strip().lstrip("-").isdigit() for p in parts):
+    if not parts or not all(_is_natural(p.strip().lstrip("-")) for p in parts):
         raise UsageFailure(f"expected a comma-separated list of integers for {what}")
     return [int(p) for p in parts]
 
@@ -107,11 +108,11 @@ def cmd_gen(args, out):
             raise UsageFailure("product sizes must be positive")
         chain = gen_product(sizes)
     elif args.kind == "cube":
-        if len(args.params) != 1 or not args.params[0].isdigit():
+        if len(args.params) != 1 or not _is_natural(args.params[0]):
             raise UsageFailure("usage: gen cube K")
         chain = gen_product([2] * int(args.params[0]))
     else:
-        if len(args.params) != 2 or not args.params[0].isdigit():
+        if len(args.params) != 2 or not _is_natural(args.params[0]):
             raise UsageFailure("usage: gen interval N r1,r2,...")
         n = int(args.params[0])
         radii = _parse_int_csv(args.params[1], "radii")

@@ -286,7 +286,7 @@ def format_coordmap(cm: CoordMap) -> str:
 def parse_coordmap(text: str):
     """Read back a code table as (base, codes); the tower itself is not
     part of the format."""
-    from .balleans import FormatError, _meaningful_lines
+    from .balleans import FormatError, _is_natural, _meaningful_lines
 
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "coordmap v1":
@@ -294,7 +294,7 @@ def parse_coordmap(text: str):
     if len(lines) < 2 or not lines[1][1].startswith("base "):
         raise FormatError("expected 'base x'", lines[1][0] if len(lines) > 1 else lines[0][0])
     base_txt = lines[1][1][len("base "):].strip()
-    if not base_txt.isdigit():
+    if not _is_natural(base_txt):
         raise FormatError("expected 'base x'", lines[1][0])
     base = int(base_txt)
     codes = {}
@@ -302,13 +302,13 @@ def parse_coordmap(text: str):
         if not line.startswith("code "):
             raise FormatError("expected 'code y: v0 v1 ...'", lineno)
         head, _, body = line[len("code "):].partition(":")
-        if not head.strip().isdigit():
+        if not _is_natural(head.strip()):
             raise FormatError("expected 'code y: v0 v1 ...'", lineno)
         y = int(head)
         if y in codes:
             raise FormatError(f"duplicate code line for point {y}", lineno)
         vals = body.split()
-        if not all(v.isdigit() for v in vals):
+        if not all(_is_natural(v) for v in vals):
             raise FormatError("coordinates must be naturals", lineno)
         codes[y] = tuple(int(v) for v in vals)
     if sorted(codes) != list(range(len(codes))):

@@ -26,6 +26,14 @@ and only shrinks oscillations), and the backtracking enumerates exactly
 those.  The search does not recheck its witness; callers that need it
 checked run check_equivalence on it.
 
+The search runs on a context of bitmasks over the pair ids x*m + y: for
+each pair the set of pairs it may share a relation with.  Whether two
+pairs fit depends only on their two level distances, so the context is a
+small table over level pairs, gathered into one n*m by n*m bool matrix
+whose rows are bit-packed into Python ints.  The depth-first search keeps
+its frames on an explicit stack, n + m deep at most, and the contexts of
+the last few tower pairs are kept for reuse.
+
 Coarseness checks between two towers work on the label rows through the
 target's level ultrametric and build no matrices; any other pair of chains
 goes through the dense oscillation matrices, which stay the reference.
@@ -33,6 +41,7 @@ goes through the dense oscillation matrices, which stay the reference.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -394,38 +403,42 @@ class _SearchContext:
 
 def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchContext:
     n, m = X.n, Y.n
-    dX = _pair_level(X)
-    dY = _pair_level(Y)
+    nm = n * m
     limX = max(X.k, 1)
     limY = max(Y.k, 1)
-    pxs = np.repeat(np.arange(n), m)
-    pys = np.tile(np.arange(m), n)
-    A = dX[np.ix_(pxs, pxs)]
-    B = dY[np.ix_(pys, pys)]
-    ok = ((A >= limX) | (B <= A + s)) & ((B >= limY) | (A <= B + s))
-    compat = tuple(
-        int(sum(1 << int(j) for j in np.flatnonzero(row))) for row in ok
+    # table[a, b]: may two pairs whose points lie at level a in X and at
+    # level b in Y share a relation; levels run 0..k, and k+1 on an
+    # invalid chain with no level holding the pair
+    a = np.arange(X.k + 2)[:, None]
+    b = np.arange(Y.k + 2)[None, :]
+    table = ((a >= limX) | (b <= a + s)) & ((b >= limY) | (a <= b + s))
+    dX = _pair_level(X)
+    dY = _pair_level(Y)
+    rows = np.packbits(
+        table[dX[:, None, :, None], dY[None, :, None, :]].reshape(nm, nm),
+        axis=1,
+        bitorder="little",
     )
+    w = rows.shape[1]
+    raw = rows.tobytes()
+    compat = tuple(int.from_bytes(raw[i:i + w], "little") for i in range(0, nm * w, w))
     pairs_of_x = tuple(((1 << m) - 1) << (x * m) for x in range(n))
-    pairs_of_y = tuple(
-        sum(1 << (x * m + y) for x in range(n)) for y in range(m)
-    )
+    column = np.zeros(nm, dtype=bool)
+    column[::m] = True
+    first = int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+    pairs_of_y = tuple(first << y for y in range(m))
     return _SearchContext(n, m, compat, pairs_of_x, pairs_of_y)
 
 
-_context_cache: dict = {}
+#: tower contexts kept for reuse, least recently used dropped first
+CONTEXT_CACHE_SIZE = 8
+
+_context_cache = functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)(_build_context)
 
 
 def _context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchContext:
     if isinstance(X, Tower) and isinstance(Y, Tower):
-        key = (X, Y, s)
-        got = _context_cache.get(key)
-        if got is None:
-            got = _build_context(X, Y, s)
-            if len(_context_cache) > 4096:
-                _context_cache.clear()
-            _context_cache[key] = got
-        return got
+        return _context_cache(X, Y, s)
     return _build_context(X, Y, s)
 
 
@@ -464,7 +477,6 @@ def search_equivalence(
     pairs_of_y = ctx.pairs_of_y
     full_x = (1 << n) - 1
     full_y = (1 << m) - 1
-    nodes = 0
 
     def viable(allowed, cov_x, cov_y):
         pending_x = full_x & ~cov_x
@@ -481,33 +493,18 @@ def search_equivalence(
                 return False
         return True
 
-    def solve(chosen, allowed, cov_x, cov_y):
-        nonlocal nodes
-        if cov_x == full_x and cov_y == full_y:
-            return chosen
+    def frame(allowed, cov_x, cov_y):
+        """The candidates for the least uncovered source, or once every
+        source is covered the least uncovered target, with the state."""
         if cov_x != full_x:
-            x = ((cov_x + 1) & ~cov_x).bit_length() - 1  # least uncovered source
+            x = ((cov_x + 1) & ~cov_x).bit_length() - 1
             cands = allowed & pairs_of_x[x]
         else:
-            y = ((cov_y + 1) & ~cov_y).bit_length() - 1  # least uncovered target
+            y = ((cov_y + 1) & ~cov_y).bit_length() - 1
             cands = allowed & pairs_of_y[y]
-        while cands:
-            nodes += 1
-            if nodes > cap:
-                raise SearchCapExceeded(cap)
-            p = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            px, py = divmod(p, ctx.m)
-            new_allowed = allowed & compat[p]
-            new_cov_x = cov_x | (1 << px)
-            new_cov_y = cov_y | (1 << py)
-            if viable(new_allowed, new_cov_x, new_cov_y):
-                got = solve(chosen + [p], new_allowed, new_cov_x, new_cov_y)
-                if got is not None:
-                    return got
-        return None
+        return [cands, allowed, cov_x, cov_y]
 
-    chosen0: list = []
+    chosen: list = []
     allowed0 = (1 << (n * m)) - 1
     cov_x0 = cov_y0 = 0
     if require_pair is not None:
@@ -515,16 +512,42 @@ def search_equivalence(
         if not (0 <= rx < n and 0 <= ry < m):
             raise ValueError("require_pair out of range")
         p0 = rx * m + ry
-        chosen0 = [p0]
+        chosen = [p0]
         allowed0 &= compat[p0]
         cov_x0 |= 1 << rx
         cov_y0 |= 1 << ry
         if not viable(allowed0, cov_x0, cov_y0):
             return None
-    got = solve(chosen0, allowed0, cov_x0, cov_y0)
-    if got is None:
-        return None
-    return MultiMap(X, Y, (divmod(p, m) for p in got))
+    if cov_x0 != full_x or cov_y0 != full_y:
+        # depth first with an explicit stack, as deep as n + m: each frame
+        # above the first was entered through the pair at its place in chosen
+        stack = [frame(allowed0, cov_x0, cov_y0)]
+        nodes = 0
+        while stack:
+            top = stack[-1]
+            cands = top[0]
+            if not cands:
+                stack.pop()
+                if stack:
+                    chosen.pop()
+                continue
+            nodes += 1
+            if nodes > cap:
+                raise SearchCapExceeded(cap)
+            p = (cands & -cands).bit_length() - 1
+            top[0] = cands & (cands - 1)
+            px, py = divmod(p, m)
+            allowed = top[1] & compat[p]
+            cov_x = top[2] | (1 << px)
+            cov_y = top[3] | (1 << py)
+            if viable(allowed, cov_x, cov_y):
+                chosen.append(p)
+                if cov_x == full_x and cov_y == full_y:
+                    break
+                stack.append(frame(allowed, cov_x, cov_y))
+        else:
+            return None
+    return MultiMap(X, Y, (divmod(p, m) for p in chosen))
 
 
 def min_shift(X: EntourageChain, Y: EntourageChain, cap: int) -> Optional[int]:
@@ -590,7 +613,7 @@ def format_multimap(phi: MultiMap, shifts=()) -> str:
 def parse_multimap(text: str, source: EntourageChain, target: EntourageChain):
     """Read back a multi-map; trailing `shift:` tables, if present, are
     returned alongside it as plain tuples."""
-    from .balleans import FormatError, _meaningful_lines
+    from .balleans import FormatError, _is_natural, _meaningful_lines
 
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "multimap v1":
@@ -600,14 +623,14 @@ def parse_multimap(text: str, source: EntourageChain, target: EntourageChain):
     for lineno, line in lines[1:]:
         if line.startswith("shift:"):
             vals = line[len("shift:"):].split()
-            if not vals or not all(v.isdigit() for v in vals):
+            if not vals or not all(_is_natural(v) for v in vals):
                 raise FormatError("expected 'shift: a0 a1 ...'", lineno)
             shifts.append(tuple(int(v) for v in vals))
             continue
         if shifts:
             raise FormatError("pair lines must precede shift tables", lineno)
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "pair" or not parts[1].isdigit() or not parts[2].isdigit():
+        if len(parts) != 3 or parts[0] != "pair" or not _is_natural(parts[1]) or not _is_natural(parts[2]):
             raise FormatError("expected 'pair x y'", lineno)
         pairs.append((int(parts[1]), int(parts[2])))
     try:

@@ -318,9 +318,11 @@ class _Scanner:
         self.pos += 1
 
     def nat(self) -> int:
+        # ASCII digits only: str.isdigit also accepts superscripts, which
+        # int() rejects
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise OrdinalSyntaxError("expected a natural number", start)
@@ -358,7 +360,7 @@ def _parse_term(s: _Scanner) -> Ordinal:
         if exponent.is_zero():
             return Ordinal.from_int(coeff)
         return Ordinal(((exponent, coeff),))
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         return Ordinal.from_int(s.nat())
     raise OrdinalSyntaxError("expected 'w' or a natural number", s.pos)
 

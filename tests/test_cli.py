@@ -51,6 +51,11 @@ def test_ordinal_syntax_error_exit_2():
     assert code == 2 and "offset 2" in err
 
 
+def test_ordinal_non_ascii_digit_exit_2():
+    code, out, err = invoke(["ordinal", "eval", "w^\u00b2"])
+    assert code == 2 and out == "" and "offset 2" in err
+
+
 def test_ordinal_domain_error_exit_1():
     code, _, err = invoke(["ordinal", "tail", "0"])
     assert code == 1 and "tail" in err
@@ -202,6 +207,26 @@ def test_verify_tampered_exit_1(tmp_path):
     code, out, _ = invoke(["verify", path])
     assert code == 1
     assert "total" in out or "surjective" in out
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("pair 0 0", "pair 0 \u00b2"),
+        ("shift-fwd: 0 1 1", "shift-fwd: 0 1 \u00b9"),
+        ("verified: pass s=0 t=0", "verified: pass s=\u00b2 t=0"),
+    ],
+)
+def test_verify_non_ascii_digit_exit_2(tmp_path, line, bad):
+    text = format_certificate(build_equivalence(gen_product([2, 2]), gen_product([4])))
+    lines = text.splitlines()
+    j = lines.index(line)
+    lines[j] = bad
+    path = tmp_path / "bad.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = invoke(["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"coarsekit: line {j + 1}: ")
 
 
 # --- homogeneous / large -------------------------------------------------------------

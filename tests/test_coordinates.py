@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coarsekit.balleans import Tower, gen_product, spectrum
+from coarsekit.balleans import FormatError, Tower, gen_product, spectrum
 from coarsekit.coordinates import (
     CoordMap,
     coordinatize,
@@ -181,3 +181,17 @@ def test_coordmap_format_shape():
     assert lines[0] == "coordmap v1"
     assert lines[1] == "base 0"
     assert lines[2] == "code 0: 0 0"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("coordmap v1\nbase \u00b2\n", 2),
+        ("coordmap v1\nbase 0\ncode \u00b9: 0\n", 3),
+        ("coordmap v1\nbase 0\ncode 0: \u00b2 0\n", 3),
+    ],
+)
+def test_coordmap_rejects_non_ascii_digits(text, line):
+    with pytest.raises(FormatError) as e:
+        parse_coordmap(text)
+    assert e.value.line == line

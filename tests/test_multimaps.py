@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from coarsekit import multimaps
 from coarsekit.balleans import (
     EntourageChain,
+    FormatError,
     Tower,
     gen_interval,
     gen_product,
@@ -28,6 +30,7 @@ from coarsekit.multimaps import (
     parse_multimap,
     search_equivalence,
 )
+from coarsekit.classify import is_homogeneous
 from families import random_tower
 
 
@@ -352,6 +355,83 @@ def test_search_on_general_chains():
     assert search_equivalence(c1, c3, 0) is None
 
 
+def test_search_depth_is_not_bounded_by_recursion():
+    # the search goes n + m choices deep: one point against 1500 points
+    one, line = Tower([[0]]), gen_product([1500])
+    phi = search_equivalence(one, line, 1)
+    assert phi is not None
+    rep = check_equivalence(phi)
+    assert rep.passed and rep.s <= 1 and rep.t <= 1
+
+
+def relabel(rng, chain):
+    perm = list(range(chain.n))
+    rng.shuffle(perm)
+    return Tower([[row[p] for p in perm] for row in chain.labels])
+
+
+def reference_context(X, Y, s):
+    """compat, pairs_of_x and pairs_of_y straight from the shift predicate:
+    (x, y) and (x', y') fit together when the least levels a of (x, x') and
+    b of (y, y') satisfy b <= fwd(a) and a <= bwd(b) for the constant-s
+    tables both ways."""
+    def least_levels(c):
+        return [[next(i for i in range(c.num_levels) if c.level(i)[u, v]) for v in range(c.n)]
+                for u in range(c.n)]
+
+    dX, dY = least_levels(X), least_levels(Y)
+    fwd = ShiftFn.constant(s, X.k, Y.k)
+    bwd = ShiftFn.constant(s, Y.k, X.k)
+    n, m = X.n, Y.n
+    pairs = [divmod(p, m) for p in range(n * m)]
+    compat = tuple(
+        sum(1 << q for q, (x2, y2) in enumerate(pairs)
+            if dY[y][y2] <= fwd(dX[x][x2]) and dX[x][x2] <= bwd(dY[y][y2]))
+        for x, y in pairs
+    )
+    pairs_of_x = tuple(sum(1 << p for p, (x, _) in enumerate(pairs) if x == u) for u in range(n))
+    pairs_of_y = tuple(sum(1 << p for p, (_, y) in enumerate(pairs) if y == v) for v in range(m))
+    return compat, pairs_of_x, pairs_of_y
+
+
+def test_search_context_matches_the_shift_predicate():
+    rng = random.Random(41)
+    cases = [(Tower([[0]]), Tower([[0]]))]
+    for _ in range(40):
+        X = relabel(rng, random_tower(rng, 64, 4))
+        Y = relabel(rng, random_tower(rng, max(1, 128 // X.n), 4))
+        cases.append((X, Y) if rng.random() < 0.5 else (Y, X))
+    for n, m in [(5, 7), (9, 4), (2, 12), (16, 16)]:
+        cx = gen_interval(n, [r for r in (1, 3) if r < n - 1] + [n - 1])
+        cy = gen_interval(m, [r for r in (2,) if r < m - 1] + [m - 1])
+        cases += [(cx, cy), (cx, relabel(rng, random_tower(rng, 8, 3))), (gen_product([2, 2]), cy)]
+    for X, Y in cases:
+        for s in range(4):
+            ctx = multimaps._build_context(X, Y, s)
+            assert (ctx.compat, ctx.pairs_of_x, ctx.pairs_of_y) == reference_context(X, Y, s), (
+                X, Y, s,
+            )
+
+
+def test_search_context_cache_is_bounded():
+    multimaps._context_cache.cache_clear()
+    t = gen_product([2, 3])
+    searches = 3 * multimaps.CONTEXT_CACHE_SIZE
+    for size in range(1, searches + 1):
+        search_equivalence(t, gen_product([size]), 1)
+        assert multimaps._context_cache.cache_info().currsize <= multimaps.CONTEXT_CACHE_SIZE
+    info = multimaps._context_cache.cache_info()
+    assert info.currsize == multimaps.CONTEXT_CACHE_SIZE and info.misses == searches
+
+
+def test_homogeneity_builds_one_search_context():
+    multimaps._context_cache.cache_clear()
+    rep = is_homogeneous(gen_product([2, 3, 2]), max_shift=0)
+    assert rep.oracle is True
+    info = multimaps._context_cache.cache_info()
+    assert info.misses == 1 and info.hits == len(rep.witnesses) - 1
+
+
 # --- large-subset witnesses -----------------------------------------------------
 
 def test_large_subset_witness():
@@ -388,3 +468,16 @@ def test_multimap_shift_tables_round_trip():
     assert shifts == (fwd.table, bwd.table)
     rep = check_equivalence(phi, ShiftFn(shifts[0], y.k), ShiftFn(shifts[1], x.k))
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("multimap v1\npair 0 \u00b2\n", 2),
+        ("multimap v1\npair 0 0\nshift: 0 \u00b9\n", 3),
+    ],
+)
+def test_multimap_rejects_non_ascii_digits(text, line):
+    with pytest.raises(FormatError) as e:
+        parse_multimap(text, gen_product([2, 2]), gen_product([4, 1]))
+    assert e.value.line == line
