@@ -82,14 +82,6 @@ class EntourageChain:
     def __repr__(self):
         return f"<EntourageChain n={self.n} levels=0..{self.k}>"
 
-    def pair_level_matrix(self) -> np.ndarray:
-        """For each pair (x, y) the least level whose entourage contains it;
-        k+1 where no level does (possible only for invalid chains)."""
-        out = np.full((self.n, self.n), self.k + 1, dtype=np.int64)
-        for i in range(self.k, -1, -1):
-            out[self.level(i)] = i
-        return out
-
 
 class Tower(EntourageChain):
     """A cellular chain stored as a partition chain.

@@ -5,6 +5,9 @@ not large, not homogeneous, failed verification, rejected ordinal), 2 on
 usage or format errors.  All output is deterministic for fixed inputs.
 
 The oracle's node budget can be overridden through COARSEKIT_SEARCH_CAP.
+A negative --max-shift or --oracle-cap, a COARSEKIT_SEARCH_CAP that is not
+a non-negative integer, and an oracle search that runs out of nodes or
+exceeds the pair limit all exit 2: they leave the question unanswered.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from .classify import (
     verify_certificate,
 )
 from .coordinates import coordinatize, format_coordmap, verify_coordinatization
-from .multimaps import SearchCapExceeded, check_equivalence, format_multimap, search_equivalence
+from .multimaps import (
+    SearchCapExceeded,
+    check_equivalence,
+    format_multimap,
+    search_cap,
+    search_equivalence,
+)
 from .ordinals import (
     OrdinalSyntaxError,
     cardinal_tail,
@@ -67,6 +76,27 @@ def _require_tower(chain, path: str) -> Tower:
     if not isinstance(chain, Tower):
         raise DomainFailure(f"{path} is not cellular; this command needs a partition tower")
     return chain
+
+
+def _check_oracle_options(args) -> None:
+    """--max-shift and --oracle-cap, on the commands that take them."""
+    for name in ("max_shift", "oracle_cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise UsageFailure(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
+def _oracle(call, *args, **kwargs):
+    """Run a call that searches with the oracle.  A malformed budget, or a
+    search that runs out of it, leaves the question open: a usage error."""
+    try:
+        search_cap()
+    except ValueError as e:
+        raise UsageFailure(str(e))
+    try:
+        return call(*args, **kwargs)
+    except SearchCapExceeded as e:
+        raise UsageFailure(str(e))
 
 
 def _parse_int_csv(text: str, what: str):
@@ -182,10 +212,7 @@ def cmd_equiv(args, out, err):
         use_oracle = True
     if use_oracle:
         shift = args.max_shift if args.max_shift is not None else max(X.k, Y.k)
-        try:
-            phi = search_equivalence(X, Y, shift)
-        except SearchCapExceeded as e:
-            raise UsageFailure(str(e))
+        phi = _oracle(search_equivalence, X, Y, shift)
         if phi is None:
             raise DomainFailure(f"no coarse equivalence within shift {shift}")
         rep = check_equivalence(phi)
@@ -229,7 +256,7 @@ def cmd_verify(args, out):
 
 def cmd_homogeneous(args, out):
     tower = _require_tower(_read_chain(args.file), args.file)
-    rep = is_homogeneous(tower, max_shift=args.max_shift, oracle_cap=args.oracle_cap)
+    rep = _oracle(is_homogeneous, tower, max_shift=args.max_shift, oracle_cap=args.oracle_cap)
     print(f"shift checked: {rep.shift}", file=out)
     print(f"spectral verdict: {'homogeneous' if rep.spectral else 'not homogeneous'}", file=out)
     if rep.spectral:
@@ -312,6 +339,7 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        _check_oracle_options(args)
         if args.command == "ordinal":
             return cmd_ordinal(args, out)
         if args.command == "gen":

@@ -28,11 +28,20 @@ checked run check_equivalence on it.
 
 The search runs on a context of bitmasks over the pair ids x*m + y: for
 each pair the set of pairs it may share a relation with.  Whether two
-pairs fit depends only on their two level distances, so the context is a
-small table over level pairs, gathered into one n*m by n*m bool matrix
-whose rows are bit-packed into Python ints.  The depth-first search keeps
-its frames on an explicit stack, n + m deep at most, and the contexts of
-the last few tower pairs are kept for reuse.
+pairs fit depends only on their two levels, and the constant-shift tables
+admit one interval of target levels for each source level a.  So the
+context is built from ball bitmasks: for each target point y a fit mask
+per source level a (the points y' whose level from y lies in a's
+interval), and for each source point x its shells (the points at exactly
+level a from x) spread at stride m.  A shell times a fit mask puts one
+copy of the m-bit fit in the block of each point of the shell, with no
+carries, and compat of (x, y) is the sum over a of these products.  A
+tower's balls come from its label rows, so no n*n or (n*m)^2 matrix is
+built for towers.  Viability is tested bit-parallel on the blocks of m
+pair ids: one carry test finds every source whose block has no allowed
+pair, and one OR-fold of the blocks finds every target with none.  The
+depth-first search keeps its frames on an explicit stack, n + m deep at
+most, and the contexts of the last few tower pairs are kept for reuse.
 
 Coarseness checks between two towers work on the label rows through the
 target's level ultrametric and build no matrices; any other pair of chains
@@ -42,13 +51,14 @@ goes through the dense oscillation matrices, which stay the reference.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .balleans import EntourageChain, Tower
+from .balleans import EntourageChain, Tower, _is_natural
 
 DEFAULT_SEARCH_CAP = 10_000_000
 PAIR_UNIVERSE_LIMIT = 4096
@@ -57,13 +67,19 @@ PAIR_UNIVERSE_LIMIT = 4096
 class SearchCapExceeded(RuntimeError):
     """The oracle hit its node budget before deciding either way."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"equivalence search exceeded {cap} nodes")
+    def __init__(self, cap: int, message: Optional[str] = None):
+        super().__init__(message or f"equivalence search exceeded {cap} nodes")
         self.cap = cap
 
 
 def search_cap() -> int:
-    return int(os.environ.get("COARSEKIT_SEARCH_CAP", DEFAULT_SEARCH_CAP))
+    """The oracle's node budget: COARSEKIT_SEARCH_CAP if set, else the default."""
+    raw = os.environ.get("COARSEKIT_SEARCH_CAP")
+    if raw is None:
+        return DEFAULT_SEARCH_CAP
+    if not _is_natural(raw):
+        raise ValueError(f"COARSEKIT_SEARCH_CAP must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 class MultiMap:
@@ -386,10 +402,31 @@ def check_equivalence(
 
 # --- the oracle ---------------------------------------------------------------
 
-def _pair_level(chain: EntourageChain) -> np.ndarray:
+def _balls(chain: EntourageChain, stride: int) -> list:
+    """balls[j][x]: the points x' whose pair (x, x') lies in one of the
+    levels 0..j, as a bitmask with x' at bit x' * stride, for j = 0..k and
+    for k + 1, the level of the pairs that no level of an invalid chain
+    holds, where the ball is every point.  In a tower the ball is x's
+    level-j class; for any other chain it comes from the level rows."""
+    n = chain.n
+    bits = [1 << (x * stride) for x in range(n)]
+    balls = []
     if isinstance(chain, Tower):
-        return chain.dist_matrix()
-    return chain.pair_level_matrix()
+        for row in chain.labels:
+            masks = [0] * (max(row) + 1)
+            for bit, c in zip(bits, row):
+                masks[c] |= bit
+            balls.append([masks[c] for c in row])
+    else:
+        reach = np.zeros((n, n, stride), dtype=bool)
+        for level in chain.levels():
+            reach[:, :, 0] |= level
+            rows = np.packbits(reach.reshape(n, n * stride), axis=1, bitorder="little")
+            w = rows.shape[1]
+            raw = rows.tobytes()
+            balls.append([int.from_bytes(raw[i:i + w], "little") for i in range(0, n * w, w)])
+    balls.append([sum(bits)] * n)
+    return balls
 
 
 @dataclass(frozen=True)
@@ -399,35 +436,51 @@ class _SearchContext:
     compat: tuple      # per pair id, bitmask of compatible pair ids
     pairs_of_x: tuple
     pairs_of_y: tuple
+    ones: int          # bit x*m for every source x: the first bit of its block
+    high: int          # bit x*m + m - 1 for every source x: the last bit of its block
+    folds: tuple       # shifts m, 2m, 4m, ... that OR every block onto the first
 
 
 def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchContext:
     n, m = X.n, Y.n
-    nm = n * m
     limX = max(X.k, 1)
     limY = max(Y.k, 1)
-    # table[a, b]: may two pairs whose points lie at level a in X and at
-    # level b in Y share a relation; levels run 0..k, and k+1 on an
-    # invalid chain with no level holding the pair
-    a = np.arange(X.k + 2)[:, None]
-    b = np.arange(Y.k + 2)[None, :]
-    table = ((a >= limX) | (b <= a + s)) & ((b >= limY) | (a <= b + s))
-    dX = _pair_level(X)
-    dY = _pair_level(Y)
-    rows = np.packbits(
-        table[dX[:, None, :, None], dY[None, :, None, :]].reshape(nm, nm),
-        axis=1,
-        bitorder="little",
-    )
-    w = rows.shape[1]
-    raw = rows.tobytes()
-    compat = tuple(int.from_bytes(raw[i:i + w], "little") for i in range(0, nm * w, w))
+    topY = Y.k + 1
+    # two pairs whose points lie at level a in X and at level b in Y may
+    # share a relation when b <= a + s unless a is X's exempt top, and
+    # a <= b + s unless b is Y's; so level a admits one interval of b
+    spans = [
+        (min(limY, max(a - s, 0)), topY if a >= limX else min(a + s, topY))
+        for a in range(X.k + 2)
+    ]
+    ballY = _balls(Y, 1)
+    fits = [
+        [ball & ~inner for ball, inner in zip(ballY[hi], ballY[lo - 1] if lo else [0] * m)]
+        for lo, hi in spans
+    ]
+    # the points at exactly level a from x, spread at stride m: times an
+    # m-bit fit mask, each point x' gets its own copy in block x', no carries
+    ballX = _balls(X, m)
+    compat = []
+    for x in range(n):
+        row = None
+        inner = 0
+        for level, fit in zip(ballX, fits):
+            ball = level[x]
+            if ball != inner:
+                part = map((ball & ~inner).__mul__, fit)
+                row = list(part) if row is None else list(map(operator.add, row, part))
+                inner = ball
+        compat.extend(row)
+    ones = sum(1 << (x * m) for x in range(n))
     pairs_of_x = tuple(((1 << m) - 1) << (x * m) for x in range(n))
-    column = np.zeros(nm, dtype=bool)
-    column[::m] = True
-    first = int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
-    pairs_of_y = tuple(first << y for y in range(m))
-    return _SearchContext(n, m, compat, pairs_of_x, pairs_of_y)
+    pairs_of_y = tuple(ones << y for y in range(m))
+    folds = []
+    while 1 << len(folds) < n:
+        folds.append(m << len(folds))
+    return _SearchContext(
+        n, m, tuple(compat), pairs_of_x, pairs_of_y, ones, ones << (m - 1), tuple(folds)
+    )
 
 
 #: tower contexts kept for reuse, least recently used dropped first
@@ -465,7 +518,11 @@ def search_equivalence(
         raise ValueError("max_shift must be non-negative")
     n, m = X.n, Y.n
     if n * m > PAIR_UNIVERSE_LIMIT:
-        raise SearchCapExceeded(PAIR_UNIVERSE_LIMIT)
+        raise SearchCapExceeded(
+            PAIR_UNIVERSE_LIMIT,
+            f"equivalence search over {n}*{m} = {n * m} pairs exceeds the limit "
+            f"of {PAIR_UNIVERSE_LIMIT} pairs",
+        )
     # at shift 0 the bottom-level constraints force singleton images and
     # preimages, i.e. a bijection, so unequal sizes settle it immediately
     if s == 0 and n != m:
@@ -475,29 +532,30 @@ def search_equivalence(
     compat = ctx.compat
     pairs_of_x = ctx.pairs_of_x
     pairs_of_y = ctx.pairs_of_y
-    full_x = (1 << n) - 1
+    ones, high, folds = ctx.ones, ctx.high, ctx.folds
+    below_high = high - ones
+    not_high = ~high
+    last = m - 1
     full_y = (1 << m) - 1
 
+    # covered sources are kept as bit x*m, the first bit of x's block of
+    # pair ids, covered targets as bit y
     def viable(allowed, cov_x, cov_y):
-        pending_x = full_x & ~cov_x
-        while pending_x:
-            x = (pending_x & -pending_x).bit_length() - 1
-            pending_x &= pending_x - 1
-            if not allowed & pairs_of_x[x]:
-                return False
-        pending_y = full_y & ~cov_y
-        while pending_y:
-            y = (pending_y & -pending_y).bit_length() - 1
-            pending_y &= pending_y - 1
-            if not allowed & pairs_of_y[y]:
-                return False
-        return True
+        """Does every uncovered source and target keep an allowed pair?"""
+        # the carry of below_high into a block's last bit marks a nonempty block
+        held = (((allowed & not_high) + below_high) | allowed) & high
+        if cov_x | held >> last != ones:
+            return False
+        for shift in folds:
+            allowed |= allowed >> shift
+        return (allowed | cov_y) & full_y == full_y
 
     def frame(allowed, cov_x, cov_y):
         """The candidates for the least uncovered source, or once every
         source is covered the least uncovered target, with the state."""
-        if cov_x != full_x:
-            x = ((cov_x + 1) & ~cov_x).bit_length() - 1
+        pending = ones ^ cov_x
+        if pending:
+            x = ((pending & -pending).bit_length() - 1) // m
             cands = allowed & pairs_of_x[x]
         else:
             y = ((cov_y + 1) & ~cov_y).bit_length() - 1
@@ -514,11 +572,11 @@ def search_equivalence(
         p0 = rx * m + ry
         chosen = [p0]
         allowed0 &= compat[p0]
-        cov_x0 |= 1 << rx
+        cov_x0 |= 1 << (p0 - ry)
         cov_y0 |= 1 << ry
         if not viable(allowed0, cov_x0, cov_y0):
             return None
-    if cov_x0 != full_x or cov_y0 != full_y:
+    if cov_x0 != ones or cov_y0 != full_y:
         # depth first with an explicit stack, as deep as n + m: each frame
         # above the first was entered through the pair at its place in chosen
         stack = [frame(allowed0, cov_x0, cov_y0)]
@@ -536,13 +594,13 @@ def search_equivalence(
                 raise SearchCapExceeded(cap)
             p = (cands & -cands).bit_length() - 1
             top[0] = cands & (cands - 1)
-            px, py = divmod(p, m)
+            py = p % m
             allowed = top[1] & compat[p]
-            cov_x = top[2] | (1 << px)
+            cov_x = top[2] | (1 << (p - py))
             cov_y = top[3] | (1 << py)
             if viable(allowed, cov_x, cov_y):
                 chosen.append(p)
-                if cov_x == full_x and cov_y == full_y:
+                if cov_x == ones and cov_y == full_y:
                     break
                 stack.append(frame(allowed, cov_x, cov_y))
         else:
@@ -613,7 +671,7 @@ def format_multimap(phi: MultiMap, shifts=()) -> str:
 def parse_multimap(text: str, source: EntourageChain, target: EntourageChain):
     """Read back a multi-map; trailing `shift:` tables, if present, are
     returned alongside it as plain tuples."""
-    from .balleans import FormatError, _is_natural, _meaningful_lines
+    from .balleans import FormatError, _meaningful_lines
 
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "multimap v1":

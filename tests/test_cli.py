@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,6 +232,56 @@ def test_verify_non_ascii_digit_exit_2(tmp_path, line, bad):
     assert err.startswith(f"coarsekit: line {j + 1}: ")
 
 
+# --- the oracle's options and budget ------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["equiv", "{t}", "{t}", "--oracle", "--max-shift", "-1"], "--max-shift"),
+        (["equiv", "{t}", "{t}", "--max-shift", "-1"], "--max-shift"),
+        (["homogeneous", "{t}", "--max-shift", "-1"], "--max-shift"),
+        (["homogeneous", "{t}", "--oracle-cap", "-1"], "--oracle-cap"),
+    ],
+)
+def test_negative_oracle_options_exit_2(tmp_path, argv, flag):
+    path = write(tmp_path, "t.ballean", format_ballean(gen_product([2, 2])))
+    code, out, err = invoke([a.format(t=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err == f"coarsekit: {flag} must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["equiv", "homogeneous"])
+def test_malformed_search_cap_exit_2(tmp_path, monkeypatch, command):
+    path = write(tmp_path, "t.ballean", format_ballean(gen_product([2, 2])))
+    argv = ["equiv", path, path, "--oracle"] if command == "equiv" else ["homogeneous", path]
+    for bad in ["abc", "-1", "\u00b2", ""]:
+        monkeypatch.setenv("COARSEKIT_SEARCH_CAP", bad)
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"coarsekit: COARSEKIT_SEARCH_CAP must be a non-negative integer, got {bad!r}\n"
+        )
+
+
+def test_homogeneous_search_cap_exceeded_exit_2(tmp_path, monkeypatch):
+    path = write(tmp_path, "t.ballean", format_ballean(gen_product([2, 2, 2])))
+    monkeypatch.setenv("COARSEKIT_SEARCH_CAP", "1")
+    code, out, err = invoke(["homogeneous", path])
+    assert code == 2 and out == ""
+    assert err == "coarsekit: equivalence search exceeded 1 nodes\n"
+
+
+def test_equiv_oracle_pair_limit_names_the_pairs(tmp_path):
+    x = write(tmp_path, "x.ballean", format_ballean(gen_product([128])))
+    y = write(tmp_path, "y.ballean", format_ballean(gen_product([64])))
+    code, out, err = invoke(["equiv", x, y, "--oracle"])
+    assert code == 2 and out == ""
+    assert err == (
+        "coarsekit: equivalence search over 128*64 = 8192 pairs exceeds "
+        "the limit of 4096 pairs\n"
+    )
+
+
 # --- homogeneous / large -------------------------------------------------------------
 
 def test_homogeneous_uniform(tmp_path):
@@ -264,3 +317,16 @@ def test_large_out_of_range(tmp_path):
 
 def test_missing_file_exit_2():
     assert invoke(["inspect", "/nonexistent/file"])[0] == 2
+
+
+def test_python_m_coarsekit(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "t.ballean"
+    with open(path, "w") as fh:
+        gen = subprocess.run([sys.executable, "-m", "coarsekit", "gen", "product", "2,2"],
+                             stdout=fh, env=env)
+    assert gen.returncode == 0
+    res = subprocess.run([sys.executable, "-m", "coarsekit", "inspect", str(path)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0 and "points: 4\n" in res.stdout

@@ -364,6 +364,29 @@ def test_search_depth_is_not_bounded_by_recursion():
     assert rep.passed and rep.s <= 1 and rep.t <= 1
 
 
+def test_search_witnesses_are_pinned():
+    # the first witness in the search order, recorded once; a change of
+    # candidate order or pruning that picks another witness fails here
+    X = Tower([[row[p] for p in (5, 2, 7, 0, 3, 6, 1, 4)] for row in gen_product([2, 2, 2]).labels])
+    t = gen_product([2, 3, 2])
+    searches = [
+        (search_equivalence(X, gen_product([4, 2]), 1),
+         [(0, 0), (0, 2), (0, 3), (1, 4), (1, 6), (1, 7), (2, 1), (3, 5), (4, 4), (5, 1),
+          (6, 5), (7, 0)]),
+        (search_equivalence(t, t, 1, require_pair=(0, 5)),
+         [(0, 4), (0, 5), (1, 0), (2, 1), (3, 1), (4, 2), (4, 3), (5, 2), (6, 6), (7, 6),
+          (8, 7), (9, 7), (10, 8), (10, 9), (11, 10), (11, 11)]),
+        (search_equivalence(t, t, 0, require_pair=(3, 10)),
+         [(0, 6), (1, 7), (2, 11), (3, 10), (4, 8), (5, 9), (6, 0), (7, 1), (8, 2), (9, 3),
+          (10, 4), (11, 5)]),
+        (search_equivalence(gen_interval(5, [1, 4]), gen_interval(6, [2, 5]), 1),
+         [(0, 0), (0, 2), (1, 0), (2, 1), (3, 1), (4, 3), (4, 4), (4, 5)]),
+        (search_equivalence(gen_product([2, 3]), gen_product([3, 2]), 0), None),
+    ]
+    for phi, pairs in searches:
+        assert (None if phi is None else sorted(phi.pairs)) == pairs
+
+
 def relabel(rng, chain):
     perm = list(range(chain.n))
     rng.shuffle(perm)
@@ -374,24 +397,35 @@ def reference_context(X, Y, s):
     """compat, pairs_of_x and pairs_of_y straight from the shift predicate:
     (x, y) and (x', y') fit together when the least levels a of (x, x') and
     b of (y, y') satisfy b <= fwd(a) and a <= bwd(b) for the constant-s
-    tables both ways."""
+    tables both ways.
+
+    On an invalid chain a pair that no level holds is at level k + 1, one
+    above the top, and the tables run to level k + 1 on both sides: each
+    maps it to the other side's k + 1, and each counts the other side's
+    levels up to k + 1.  On levels up to k they give the same verdicts as
+    the plain constant-s tables."""
     def least_levels(c):
-        return [[next(i for i in range(c.num_levels) if c.level(i)[u, v]) for v in range(c.n)]
+        return [[next((i for i in range(c.num_levels) if c.level(i)[u, v]), c.k + 1)
+                 for v in range(c.n)]
                 for u in range(c.n)]
 
     dX, dY = least_levels(X), least_levels(Y)
-    fwd = ShiftFn.constant(s, X.k, Y.k)
-    bwd = ShiftFn.constant(s, Y.k, X.k)
+    fwd = ShiftFn.constant(s, X.k, Y.k + 1).table + (Y.k + 1,)
+    bwd = ShiftFn.constant(s, Y.k, X.k + 1).table + (X.k + 1,)
     n, m = X.n, Y.n
     pairs = [divmod(p, m) for p in range(n * m)]
     compat = tuple(
         sum(1 << q for q, (x2, y2) in enumerate(pairs)
-            if dY[y][y2] <= fwd(dX[x][x2]) and dX[x][x2] <= bwd(dY[y][y2]))
+            if dY[y][y2] <= fwd[dX[x][x2]] and dX[x][x2] <= bwd[dY[y][y2]])
         for x, y in pairs
     )
     pairs_of_x = tuple(sum(1 << p for p, (x, _) in enumerate(pairs) if x == u) for u in range(n))
     pairs_of_y = tuple(sum(1 << p for p, (_, y) in enumerate(pairs) if y == v) for v in range(m))
     return compat, pairs_of_x, pairs_of_y
+
+
+def rng_relation(rng, n):
+    return np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(n)])
 
 
 def test_search_context_matches_the_shift_predicate():
@@ -405,6 +439,19 @@ def test_search_context_matches_the_shift_predicate():
         cx = gen_interval(n, [r for r in (1, 3) if r < n - 1] + [n - 1])
         cy = gen_interval(m, [r for r in (2,) if r < m - 1] + [m - 1])
         cases += [(cx, cy), (cx, relabel(rng, random_tower(rng, 8, 3))), (gen_product([2, 2]), cy)]
+    # invalid chains on either side: a top level that is not the full
+    # relation, and random levels that are neither reflexive, symmetric
+    # nor nested, so some pairs lie in no level
+    eye = np.eye(4, dtype=bool)
+    halves = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
+    open_top = EntourageChain([eye, halves])
+    for _ in range(12):
+        k, n = rng.randint(0, 3), rng.randint(1, 7)
+        noise = EntourageChain([rng_relation(rng, n) for _ in range(k + 1)])
+        other = rng.choice([open_top, gen_product([3]), relabel(rng, random_tower(rng, 8, 3)),
+                            gen_interval(5, [2, 4])])
+        cases += [(noise, other), (other, noise)]
+    cases += [(open_top, gen_product([2, 2])), (gen_product([2, 3]), open_top), (open_top, open_top)]
     for X, Y in cases:
         for s in range(4):
             ctx = multimaps._build_context(X, Y, s)
