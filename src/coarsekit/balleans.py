@@ -176,12 +176,24 @@ class Tower(EntourageChain):
             self._classes_cache[i] = got
         return got
 
-    def class_of(self, i: int, x: int) -> int:
-        return self.labels[i][x]
+    def dist(self, x: int, y: int) -> int:
+        """The level ultrametric: the least level at which the labels of x
+        and y agree, found by bisection since agreement persists upwards."""
+        labels = self.labels
+        lo, hi = 0, len(labels) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            row = labels[mid]
+            if row[x] == row[y]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def dist_matrix(self) -> np.ndarray:
         """level_dist for all pairs at once, in the smallest unsigned dtype:
-        the distance of two points counts the proper levels separating them."""
+        the distance of two points counts the proper levels separating them.
+        A reference for tests; no tower algorithm builds it."""
         if self._dist is None:
             d = np.zeros((self.n, self.n), dtype=np.min_scalar_type(self.k))
             for row in self.labels[:-1]:
@@ -211,6 +223,11 @@ def _split_point(fine, coarse) -> Optional[int]:
         if parent.setdefault(a, b) != b:
             return x
     return None
+
+
+def _distinct_levels(rows) -> Tower:
+    """The tower on canonical label rows, consecutive repeats dropped."""
+    return Tower([row for i, row in enumerate(rows) if i == 0 or row != rows[i - 1]])
 
 
 def _canonical_labels(row) -> tuple:
@@ -443,10 +460,7 @@ def level_dist(tower: Tower, x: int, y: int) -> int:
         raise TypeError("level_dist needs a cellular tower")
     if not (0 <= x < tower.n and 0 <= y < tower.n):
         raise IndexError("point out of range")
-    for i in range(tower.num_levels):
-        if tower.labels[i][x] == tower.labels[i][y]:
-            return i
-    raise AssertionError("unreachable: the top level is one block")
+    return tower.dist(x, y)
 
 
 @dataclass(frozen=True)
@@ -518,22 +532,15 @@ def _components_labels(m: np.ndarray) -> list:
 def cellular_hull(chain: EntourageChain) -> Tower:
     """Replace each level by its transitive closure and renormalize the
     chain (consecutive duplicate levels collapse)."""
-    rows = [_canonical_labels(_components_labels(chain.level(i))) for i in range(chain.num_levels)]
-    deduped = [rows[0]]
-    for row in rows[1:]:
-        if row != deduped[-1]:
-            deduped.append(row)
-    return Tower(deduped)
+    return _distinct_levels(
+        [_canonical_labels(_components_labels(chain.level(i))) for i in range(chain.num_levels)]
+    )
 
 
 def normalize(chain: EntourageChain) -> EntourageChain:
     """Drop consecutive duplicate levels; towers stay towers."""
     if isinstance(chain, Tower):
-        rows = [chain.labels[0]]
-        for row in chain.labels[1:]:
-            if row != rows[-1]:
-                rows.append(row)
-        return Tower(rows)
+        return _distinct_levels(chain.labels)
     kept = [chain.level(0)]
     for i in range(1, chain.num_levels):
         if not np.array_equal(chain.level(i), kept[-1]):
@@ -550,23 +557,22 @@ def subspace(chain: EntourageChain, A: Iterable[int]) -> EntourageChain:
     if any(not 0 <= a < chain.n for a in A):
         raise IndexError("point out of range")
     if isinstance(chain, Tower):
-        rows = [_canonical_labels([chain.labels[i][a] for a in A]) for i in range(chain.num_levels)]
-        deduped = [rows[0]]
-        for row in rows[1:]:
-            if row != deduped[-1]:
-                deduped.append(row)
-        return Tower(deduped)
+        return _distinct_levels([_canonical_labels([row[a] for a in A]) for row in chain.labels])
     sel = np.ix_(A, A)
     return normalize(EntourageChain([chain.level(i)[sel] for i in range(chain.num_levels)]))
 
 
 def is_large(chain: EntourageChain, L: Iterable[int]) -> Optional[int]:
-    """The least level alpha with B(L, eps_alpha) = X, or None."""
+    """The least level alpha with B(L, eps_alpha) = X, or None.  In a tower
+    that is the least level whose every class meets L."""
     L = sorted(set(int(x) for x in L))
     if not L:
         raise ValueError("largeness of the empty set is undefined")
     if any(not 0 <= x < chain.n for x in L):
         raise IndexError("point out of range")
+    if isinstance(chain, Tower):
+        # canonical labels number the classes 0..max(row)
+        return next(a for a, row in enumerate(chain.labels) if len({row[x] for x in L}) > max(row))
     for alpha in range(chain.num_levels):
         if chain.level(alpha)[L].any(axis=0).all():
             return alpha

@@ -16,9 +16,10 @@ within shift s moves one to the other).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .balleans import (
     FormatError,
@@ -39,14 +40,13 @@ from .multimaps import (
     search_equivalence,
 )
 
-REGROUP_SEARCH_LIMIT = 4096
 HOMOGENEITY_ORACLE_CAP = 24
 
 
 def regroup(tower: Tower, boundaries: Sequence[int]) -> Tower:
-    """Keep only the levels at the given boundary indices.  Boundaries must
-    strictly increase from 0 to the top index; spectrum entries multiply
-    within each block."""
+    """Keep only the levels at the given boundary indices, which strictly
+    increase from 0 to the top index; spectrum entries multiply within each
+    block.  Keeping every level returns the tower itself."""
     if not isinstance(tower, Tower):
         raise TypeError("regroup needs a cellular tower")
     bounds = tuple(int(b) for b in boundaries)
@@ -54,6 +54,8 @@ def regroup(tower: Tower, boundaries: Sequence[int]) -> Tower:
         raise ValueError(f"boundaries must run from 0 to {tower.k}")
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("boundaries must strictly increase")
+    if len(bounds) == tower.num_levels:
+        return tower
     got = tower._regroup_cache.get(bounds)
     if got is None:
         got = Tower([tower.labels[b] for b in bounds])
@@ -106,21 +108,36 @@ def interleave(X: Tower, Y: Tower):
 
 def uniformizing_regroup(tower: Tower, max_width: Optional[int] = None):
     """The finest regrouping whose spectrum is uniform, optionally with all
-    block widths bounded; None when no such regrouping exists."""
+    block widths bounded, and the lexicographically first among the finest;
+    None when no such regrouping exists.
+
+    A block (a, b] is uniform when every level-b class holds the same number
+    of level-a classes, which depends on a and b alone.  So the answer is a
+    longest path from boundary 0 to k through uniform blocks: a dynamic
+    program over the k + 1 boundaries, with O(k^2) block checks vectorized
+    over the points."""
     k = tower.k
-    interior = list(range(1, k))
-    if 2 ** len(interior) > REGROUP_SEARCH_LIMIT:
-        raise ValueError("tower too deep for the exhaustive regrouping search")
-    for size in range(len(interior), -1, -1):
-        for combo in itertools.combinations(interior, size):
-            bounds = [0, *combo, k] if k > 0 else [0]
-            if max_width is not None and any(
-                b - a > max_width for a, b in zip(bounds, bounds[1:])
-            ):
-                continue
-            if spectrum(regroup(tower, bounds)).uniform:
-                return tuple(bounds)
-    return None
+    width = k if max_width is None else int(max_width)
+    if width >= 1 and spectrum(tower).uniform:
+        return tuple(range(k + 1))
+    rows = [np.asarray(row) for row in tower.labels]
+
+    def uniform(a: int, b: int) -> bool:
+        # canonical labels number the classes from 0; parent[c] is the
+        # level-b class of the level-a class c
+        parent = np.empty(int(rows[a].max()) + 1, dtype=rows[b].dtype)
+        parent[rows[a]] = rows[b]
+        held = np.bincount(parent)
+        return held.min() == held.max()
+
+    # paths[a]: the finest uniform boundaries from a to k; b rises and only a
+    # longer path replaces the one kept, so the least next boundary wins ties
+    paths: list = [None] * k + [(k,)]
+    for a in range(k - 1, -1, -1):
+        for b in range(a + 1, min(a + width, k) + 1):
+            if paths[b] is not None and len(paths[b]) >= len(paths[a] or ()) and uniform(a, b):
+                paths[a] = (a, *paths[b])
+    return paths[0]
 
 
 @dataclass(frozen=True)
@@ -180,10 +197,9 @@ def build_equivalence(
         rep = check_equivalence(phi, ShiftFn(fwd, Y.k), ShiftFn(bwd, X.k))
         transcript.append("single-point towers: trivial pairing")
         return Certificate(X, Y, tuple(sorted(phi.pairs)), fwd, bwd, tuple(transcript), rep.s, rep.t)
+    # with no width bound the one-block regrouping is uniform, so these exist
     ubx = uniformizing_regroup(X)
     uby = uniformizing_regroup(Y)
-    if ubx is None or uby is None:
-        return None
     if list(ubx) != list(range(X.k + 1)):
         transcript.append("X uniformized at boundaries " + ",".join(map(str, ubx)))
     if list(uby) != list(range(Y.k + 1)):
@@ -447,10 +463,7 @@ def parse_certificate(text: str) -> Certificate:
     s, t = int(parts[0][2:]), int(parts[1][2:])
     if pos != len(lines):
         raise FormatError("unexpected trailing content", lines[pos][0])
-    try:
-        return Certificate(tx, ty, tuple(sorted(set(pairs))), fwd, bwd, tuple(transcript), s, t)
-    except ValueError as e:
-        raise FormatError(str(e), lines[im][0])
+    return Certificate(tx, ty, tuple(sorted(set(pairs))), fwd, bwd, tuple(transcript), s, t)
 
 
 @dataclass(frozen=True)

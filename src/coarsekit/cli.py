@@ -7,12 +7,15 @@ usage or format errors.  All output is deterministic for fixed inputs.
 The oracle's node budget can be overridden through COARSEKIT_SEARCH_CAP.
 A negative --max-shift or --oracle-cap, a COARSEKIT_SEARCH_CAP that is not
 a non-negative integer, and an oracle search that runs out of nodes or
-exceeds the pair limit all exit 2: they leave the question unanswered.
+exceeds the pair limit all exit 2: they leave the question unanswered.  So
+does a reader that closes stdout early (`coarsekit inspect t | head -1`):
+the answer was not delivered, and main() exits 2 with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -29,6 +32,7 @@ from .balleans import (
     validate,
 )
 from .classify import (
+    HOMOGENEITY_ORACLE_CAP,
     build_equivalence,
     covering_invariants,
     format_certificate,
@@ -38,6 +42,7 @@ from .classify import (
 from .coordinates import coordinatize, format_coordmap, verify_coordinatization
 from .multimaps import (
     SearchCapExceeded,
+    ShiftFn,
     check_equivalence,
     format_multimap,
     search_cap,
@@ -216,8 +221,6 @@ def cmd_equiv(args, out, err):
         if phi is None:
             raise DomainFailure(f"no coarse equivalence within shift {shift}")
         rep = check_equivalence(phi)
-        from .multimaps import ShiftFn
-
         out.write(
             format_multimap(
                 phi,
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("homogeneous", help="spectral and oracle homogeneity verdicts")
     q.add_argument("file")
     q.add_argument("--max-shift", type=int, default=None)
-    q.add_argument("--oracle-cap", type=int, default=24)
+    q.add_argument("--oracle-cap", type=int, default=HOMOGENEITY_ORACLE_CAP)
 
     q = sub.add_parser("large", help="least level at which a set is large")
     q.add_argument("file")
@@ -366,7 +369,14 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the answer was not delivered; devnull keeps the final flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

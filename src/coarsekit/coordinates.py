@@ -19,10 +19,15 @@ kept separate as a verification oracle, never as the construction.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .balleans import Tower, gen_product, spectrum
+from .balleans import (
+    FormatError, Tower, _is_natural, _meaningful_lines, _split_point, gen_product, spectrum,
+)
 
 
 def _resolve_order(tower: Tower, order: Optional[Sequence[int]]) -> tuple:
@@ -52,28 +57,20 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
     rank = [0] * tower.n
     for i, p in enumerate(order):
         rank[p] = i
-    c = []
-    class_min = []  # per level: class id -> order-least member
-    for alpha in range(tower.num_levels):
+    c, nums = [], []
+    for alpha, row in enumerate(tower.labels):
         mins = [min(members, key=rank.__getitem__) for members in tower.classes(alpha)]
-        class_min.append(mins)
-        c.append(tuple(mins[tower.labels[alpha][y]] for y in range(tower.n)))
-    nums = []
-    for alpha in range(tower.k):
-        kids_by_parent: dict = {}
-        for cid, members in enumerate(tower.classes(alpha)):
-            kids_by_parent.setdefault(tower.labels[alpha + 1][members[0]], []).append(cid)
-        number = [0] * len(tower.classes(alpha))
-        for parent, kids in kids_by_parent.items():
-            zero_kid = tower.labels[alpha][class_min[alpha + 1][parent]]
-            rest = sorted(
-                (cid for cid in kids if cid != zero_kid),
-                key=lambda cid: rank[class_min[alpha][cid]],
-            )
-            number[zero_kid] = 0
-            for i, cid in enumerate(rest, start=1):
-                number[cid] = i
-        nums.append(tuple(number[tower.labels[alpha][y]] for y in range(tower.n)))
+        c.append(tuple(mins[v] for v in row))
+        if alpha == tower.k:
+            break
+        # the block minimum's class holds the least minimum of its block, so
+        # counting the classes of each block by ascending minimum gives it 0
+        up = tower.labels[alpha + 1]
+        count = defaultdict(itertools.count)
+        number = [0] * len(mins)
+        for cid in sorted(range(len(mins)), key=lambda cid: rank[mins[cid]]):
+            number[cid] = next(count[up[mins[cid]]])
+        nums.append(tuple(number[v] for v in row))
     got = (tuple(c), tuple(nums))
     tower._numbering_cache[order] = got
     return got
@@ -97,9 +94,6 @@ class CoordMap:
     def target(self) -> Tower:
         return gen_product(self.kappa_hi)
 
-    def code(self, y: int) -> tuple:
-        return self.codes[y]
-
 
 def coordinatize(
     tower: Tower, base: Optional[int] = None, order: Optional[Sequence[int]] = None
@@ -115,24 +109,19 @@ def coordinatize(
     if not 0 <= base < tower.n:
         raise IndexError("basepoint out of range")
     c, nums = numbering(tower, order)
-    d = tower.dist_matrix()
+    d = tower.dist
     k = tower.k
-    memo: dict = {}
 
+    # each call for y descends to a strictly lower level, so no (x, y) is
+    # reached twice and nothing is worth remembering
     def code_rel(x: int, y: int) -> tuple:
-        if d[x, y] == 0:
+        dist = d(x, y)
+        if dist == 0:
             return (0,) * k
-        key = (x, y)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        a = int(d[x, y]) - 1
-        rep = c[a][y]
-        vec = list(code_rel(rep, y))
+        a = dist - 1
+        vec = list(code_rel(c[a][y], y))
         vec[a] += nums[a][y]
-        got = tuple(vec)
-        memo[key] = got
-        return got
+        return tuple(vec)
 
     codes = tuple(code_rel(base, y) for y in range(tower.n))
     spec = spectrum(tower)
@@ -175,31 +164,44 @@ class CoordReport:
         return core
 
 
+def _clash(fine, coarse) -> Optional[tuple]:
+    """A pair (x, y), x < y, in one class of the partition fine but not of
+    coarse, both given as class ids per point; None when fine refines coarse."""
+    y = _split_point(fine, coarse)
+    return None if y is None else (fine.index(fine[y]), y)
+
+
 def verify_coordinatization(cm: CoordMap) -> CoordReport:
+    """Check the laws in O(n*k) on the label rows.  The points whose codes
+    agree from coordinate a up form the suffix partition at a, numbered from
+    the top level down.  Forward coarseness says each level-a partition
+    refines the suffix partition at a, exact agreement that they are equal.
+    A failure names one pair on which its law fails."""
     tower = cm.tower
     n, k = tower.n, tower.k
-    d = tower.dist_matrix()
+    d = tower.dist
     failures = []
 
     truncation_ok = True
     for y in range(n):
-        dist = int(d[cm.base, y])
+        dist = d(cm.base, y)
         want = tuple(cm.nums[a][y] if a < dist else 0 for a in range(k))
         if cm.codes[y] != want:
             truncation_ok = False
             failures.append(f"truncation law fails at point {y}: {cm.codes[y]} vs {want}")
             break
 
-    forward_ok = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            a = int(d[x, y])
-            if any(cm.codes[x][b] != cm.codes[y][b] for b in range(a, k)):
-                forward_ok = False
-                failures.append(f"forward coarseness fails on pair ({x}, {y})")
-                break
-        if not forward_ok:
-            break
+    forward_pair = exact_pair = None
+    ids = [0] * n
+    for a in range(k - 1, -1, -1):
+        seen: dict = {}
+        ids = [seen.setdefault((code[a], i), len(seen)) for code, i in zip(cm.codes, ids)]
+        row = tower.labels[a]
+        forward_pair = forward_pair or _clash(row, ids)
+        exact_pair = exact_pair or forward_pair or _clash(ids, row)
+    forward_ok = forward_pair is None
+    if not forward_ok:
+        failures.append(f"forward coarseness fails on pair {forward_pair}")
 
     image_upper_ok = all(
         all(0 <= v < s for v, s in zip(code, cm.kappa_hi)) for code in cm.codes
@@ -210,50 +212,31 @@ def verify_coordinatization(cm: CoordMap) -> CoordReport:
     fibers: dict = {}
     for y, code in enumerate(cm.codes):
         fibers.setdefault(code, []).append(y)
-    inverse_shift = 0
-    for members in fibers.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                inverse_shift = max(inverse_shift, int(d[a, b]))
+    # in an ultrametric a set's diameter is the largest distance from one member
+    inverse_shift = max(d(members[0], y) for members in fibers.values() for y in members)
 
     min_base = cm.base == cm.order[0]
     exact_ok = injective = image_lower_ok = None
     if min_base:
-        exact_ok = True
-        for x in range(n):
-            for y in range(x + 1, n):
-                a = int(d[x, y])
-                agree_from = next(
-                    (b for b in range(k + 1) if all(cm.codes[x][c] == cm.codes[y][c] for c in range(b, k))),
-                )
-                if agree_from != a:
-                    exact_ok = False
-                    failures.append(
-                        f"exact agreement fails on ({x}, {y}): distance {a}, codes agree from {agree_from}"
-                    )
-                    break
-            if not exact_ok:
-                break
+        exact_ok = exact_pair is None
+        if not exact_ok:
+            x, y = exact_pair
+            agree_from = next(b for b in range(k + 1) if cm.codes[x][b:k] == cm.codes[y][b:k])
+            failures.append(
+                f"exact agreement fails on ({x}, {y}): distance {d(x, y)}, codes agree from {agree_from}"
+            )
         injective = len(fibers) == n
         if not injective:
             failures.append("code table is not injective")
-        image_lower_ok = True
-        lower_box_size = 1
-        for v in cm.kappa_lo:
-            lower_box_size *= v
-        if lower_box_size > n:
-            image_lower_ok = False
+        image_lower_ok = math.prod(cm.kappa_lo) <= n
+        if not image_lower_ok:
             failures.append("min-spectrum box larger than the point set")
         else:
-            image = set(cm.codes)
-            stack = [()]
-            for s in cm.kappa_lo:
-                stack = [t + (v,) for t in stack for v in range(s)]
-            for t in stack:
-                if t not in image:
-                    image_lower_ok = False
-                    failures.append(f"min-spectrum box tuple {t} missing from the image")
-                    break
+            box = itertools.product(*(range(s) for s in cm.kappa_lo))
+            missing = next((t for t in box if t not in fibers), None)
+            if missing is not None:
+                image_lower_ok = False
+                failures.append(f"min-spectrum box tuple {missing} missing from the image")
     return CoordReport(
         truncation_ok,
         forward_ok,
@@ -286,8 +269,6 @@ def format_coordmap(cm: CoordMap) -> str:
 def parse_coordmap(text: str):
     """Read back a code table as (base, codes); the tower itself is not
     part of the format."""
-    from .balleans import FormatError, _is_natural, _meaningful_lines
-
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "coordmap v1":
         raise FormatError("expected header 'coordmap v1'", lines[0][0] if lines else 1)

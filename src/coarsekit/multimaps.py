@@ -58,7 +58,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .balleans import EntourageChain, Tower, _is_natural
+from .balleans import (
+    EntourageChain, FormatError, Tower, _is_natural, _meaningful_lines, is_large, subspace,
+)
 
 DEFAULT_SEARCH_CAP = 10_000_000
 PAIR_UNIVERSE_LIMIT = 4096
@@ -243,15 +245,7 @@ class _TowerFit:
     def __init__(self, phi: MultiMap):
         X, Y = phi.source, phi.target
         self.phi = phi
-        cols = tuple(zip(*Y.labels))
-
-        def dist(a: int, b: int) -> int:
-            ca, cb = cols[a], cols[b]
-            j = 0
-            while ca[j] != cb[j]:
-                j += 1
-            return j
-
+        dist = Y.dist
         # level 0: the classes are the points themselves
         rep = [None] * X.n
         diam = [0] * X.n
@@ -633,8 +627,6 @@ class LargeSubsetWitness:
 
 
 def equivalence_to_large_subsets(phi: MultiMap) -> LargeSubsetWitness:
-    from .balleans import is_large, subspace
-
     if not (phi.is_total() and phi.is_surjective()):
         raise ValueError("needs a total surjective multi-map")
     f = {x: min(phi.image(x)) for x in range(phi.source.n)}
@@ -671,8 +663,6 @@ def format_multimap(phi: MultiMap, shifts=()) -> str:
 def parse_multimap(text: str, source: EntourageChain, target: EntourageChain):
     """Read back a multi-map; trailing `shift:` tables, if present, are
     returned alongside it as plain tuples."""
-    from .balleans import FormatError, _meaningful_lines
-
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "multimap v1":
         raise FormatError("expected header 'multimap v1'", lines[0][0] if lines else 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -26,6 +27,8 @@ from coarsekit.multimaps import (
     inverse,
     search_equivalence,
 )
+
+from families import exhaustive_towers, random_tower
 
 
 def three_point_tower():
@@ -113,6 +116,43 @@ def test_uniformizing_regroup_nonuniform():
     assert uniformizing_regroup(t, max_width=1) is None
 
 
+def exhaustive_regroup(tower, max_width=None):
+    """The reference: try every boundary set, most boundaries first, in
+    itertools.combinations order, and take the first uniform one."""
+    k = tower.k
+    interior = list(range(1, k))
+    for size in range(len(interior), -1, -1):
+        for combo in itertools.combinations(interior, size):
+            bounds = [0, *combo, k] if k > 0 else [0]
+            if max_width is not None and any(
+                b - a > max_width for a, b in zip(bounds, bounds[1:])
+            ):
+                continue
+            if spectrum(regroup(tower, bounds)).uniform:
+                return tuple(bounds)
+    return None
+
+
+def test_uniformizing_regroup_matches_exhaustive_search():
+    rng = random.Random(606)
+    towers = list(exhaustive_towers(6, 3))
+    towers += [random_tower(rng, max_n=40, max_levels=9) for _ in range(600)]
+    for t in towers:
+        for width in (None, 1, 2, 3):
+            assert uniformizing_regroup(t, max_width=width) == exhaustive_regroup(t, width), (
+                t.labels, width,
+            )
+
+
+def test_uniformizing_regroup_deep_towers():
+    assert uniformizing_regroup(gen_product([2] * 16)) == tuple(range(17))
+    # level 1 splits one point off; every regrouping that keeps it is uneven
+    t = Tower([list(range(6)), [0, 1, 1, 2, 2, 2]] + [[0, 0, 0, 1, 1, 1]] * 14 + [[0] * 6])
+    assert uniformizing_regroup(t) == (0, *range(2, 17))
+    assert uniformizing_regroup(t, max_width=1) is None
+    assert uniformizing_regroup(t, max_width=2) == (0, *range(2, 17))
+
+
 # --- build_equivalence ---------------------------------------------------------------
 
 def test_build_identity_certificate():
@@ -133,6 +173,13 @@ def test_build_cube_vs_squares():
     assert (cert.s, cert.t) == (0, 1)
     assert cert.shift_fwd == (0, 1, 1, 2, 2)
     assert cert.shift_bwd == (0, 2, 4)
+
+
+def test_build_deep_towers():
+    t = gen_product([2] + [1] * 14)
+    cert = build_equivalence(t, gen_product([2] + [1] * 14))
+    assert cert is not None and (cert.s, cert.t) == (0, 0)
+    assert verify_certificate(format_certificate(cert)).ok
 
 
 def test_build_fails_on_unequal_totals():

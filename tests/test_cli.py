@@ -292,6 +292,15 @@ def test_homogeneous_uniform(tmp_path):
     assert "oracle verdict: homogeneous" in out
 
 
+def test_homogeneous_deep_tower(tmp_path):
+    code, text, _ = invoke(["gen", "product", ",".join(["2"] + ["1"] * 14)])
+    assert code == 0
+    path = write(tmp_path, "t.ballean", text)
+    code, out, _ = invoke(["homogeneous", path])
+    assert code == 0
+    assert "regrouping: " + ",".join(map(str, range(16))) + "\n" in out
+
+
 def test_homogeneous_negative_exit_1(tmp_path):
     tower_text = "ballean v1\npoints 3\nlevels 2\nlevel 1 cells: 0 | 1 2\n"
     path = write(tmp_path, "t.ballean", tower_text)
@@ -330,3 +339,19 @@ def test_python_m_coarsekit(tmp_path):
     res = subprocess.run([sys.executable, "-m", "coarsekit", "inspect", str(path)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0 and "points: 4\n" in res.stdout
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = write(tmp_path, "t.ballean", format_ballean(gen_product([2] * 6)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "coarsekit", "inspect", path],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr

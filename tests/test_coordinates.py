@@ -1,8 +1,10 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
-from coarsekit.balleans import FormatError, Tower, gen_product, spectrum
+from coarsekit.balleans import FormatError, Tower, gen_product, level_dist, spectrum
 from coarsekit.coordinates import (
     CoordMap,
     coordinatize,
@@ -152,6 +154,102 @@ def test_non_minimal_base_measured_shift():
     # fibers can spread across the whole depth on tiny towers
     cm = coordinatize(three_point_tower(), base=1)
     assert verify_coordinatization(cm).inverse_shift == cm.tower.k
+
+
+def agree_from(cm, x, y):
+    k = cm.tower.k
+    return next(b for b in range(k + 1) if cm.codes[x][b:k] == cm.codes[y][b:k])
+
+
+def assert_named_pairs_fail(cm, rep):
+    """Every pair a failure names really breaks its law."""
+    for msg in rep.failures:
+        got = re.match(r"forward coarseness fails on pair \((\d+), (\d+)\)$", msg)
+        if got:
+            x, y = map(int, got.groups())
+            assert x < y and agree_from(cm, x, y) > level_dist(cm.tower, x, y), msg
+        got = re.match(
+            r"exact agreement fails on \((\d+), (\d+)\): distance (\d+), codes agree from (\d+)$", msg
+        )
+        if got:
+            x, y, dist, frm = map(int, got.groups())
+            assert x < y and dist == level_dist(cm.tower, x, y), msg
+            assert frm == agree_from(cm, x, y) != dist, msg
+
+
+def with_codes(cm, changes):
+    codes = list(cm.codes)
+    for y, code in changes.items():
+        codes[y] = code
+    return replace(cm, codes=tuple(codes))
+
+
+def test_verify_flags_swapped_codes():
+    cm = coordinatize(gen_product([2, 2, 2]))
+    assert verify_coordinatization(cm).ok
+    # 0 and 2 differ first at level 2: the swap tears both level-1 classes
+    bad = with_codes(cm, {0: cm.codes[2], 2: cm.codes[0]})
+    rep = verify_coordinatization(bad)
+    assert not rep.truncation_ok and not rep.forward_ok and rep.exact_ok is False
+    assert rep.injective and rep.image_upper_ok and not rep.ok
+    assert_named_pairs_fail(bad, rep)
+
+
+def test_verify_flags_raised_high_coordinate():
+    cm = coordinatize(gen_product([2, 2, 2]))
+    # point 1 takes point 5's code: a collision across the top level
+    bad = with_codes(cm, {1: cm.codes[1][:2] + (1,)})
+    assert bad.codes[1] == cm.codes[5]
+    rep = verify_coordinatization(bad)
+    assert not rep.forward_ok and rep.exact_ok is False and rep.injective is False
+    assert rep.inverse_shift == 3 and not rep.ok
+    assert_named_pairs_fail(bad, rep)
+
+
+def test_verify_flags_merged_classes_only_under_exact_agreement():
+    # codes that forget coordinate 1 keep forward coarseness but merge
+    # level-2 classes that the tower keeps apart
+    cm = coordinatize(gen_product([2, 2, 2]))
+    bad = with_codes(cm, {y: (code[0], 0, code[2]) for y, code in enumerate(cm.codes)})
+    rep = verify_coordinatization(bad)
+    assert rep.forward_ok and rep.exact_ok is False and rep.injective is False
+    assert rep.inverse_shift == 2
+    assert_named_pairs_fail(bad, rep)
+
+
+def pairwise_laws(cm):
+    """The reference: forward coarseness, exact agreement and the inverse
+    shift, checked pair by pair on the dense distance matrix."""
+    d = cm.tower.dist_matrix()
+    pairs = [(x, y) for x in range(cm.tower.n) for y in range(x + 1, cm.tower.n)]
+    forward = all(agree_from(cm, x, y) <= d[x, y] for x, y in pairs)
+    exact = all(agree_from(cm, x, y) == d[x, y] for x, y in pairs)
+    shift = max((int(d[x, y]) for x, y in pairs if cm.codes[x] == cm.codes[y]), default=0)
+    return forward, exact, shift
+
+
+def test_verify_matches_pairwise_laws_on_random_corruptions():
+    rng = random.Random(27)
+    flipped = 0
+    for _ in range(300):
+        t = random_tower(rng, max_n=12)
+        if t.k == 0:
+            continue
+        cm = coordinatize(t, base=rng.choice((0, rng.randrange(t.n))))
+        if rng.random() < 0.8:
+            y = rng.randrange(t.n)
+            a = rng.randrange(t.k)
+            code = list(cm.codes[y])
+            code[a] += rng.choice((1, -1)) if code[a] else 1
+            cm = with_codes(cm, {y: tuple(code)})
+        rep = verify_coordinatization(cm)
+        forward, exact, shift = pairwise_laws(cm)
+        assert (rep.forward_ok, rep.inverse_shift) == (forward, shift), (t.labels, cm.codes)
+        if rep.min_base:
+            assert rep.exact_ok == exact, (t.labels, cm.codes)
+        flipped += not forward or (rep.min_base and not exact)
+        assert_named_pairs_fail(cm, rep)
+    assert flipped > 100
 
 
 def test_coordinatize_validates_inputs():
