@@ -8,7 +8,9 @@ Tower: a sequence of partitions, each coarsening the previous, running from
 singletons up to a single block.
 
 All values are immutable after construction and every operation here is
-pure, so concurrent use needs no coordination.
+pure, so concurrent use needs no coordination.  The `ballean v1` format is
+read on the line grammar of textio, and a file needing more than
+BALLEAN_ENTRY_LIMIT entries is refused at its `points` line.
 """
 
 from __future__ import annotations
@@ -18,17 +20,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .textio import FormatError, Lines, is_natural
+
 #: general chains larger than this get a greedy upper bound from cov()
 #: instead of the exact branch-and-bound set cover
 EXACT_COVER_LIMIT = 24
 
-
-class FormatError(ValueError):
-    """Malformed text input; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+#: the most entries a ballean may need: n * (k + 1) label entries for a
+#: tower read or generated as labels, n * n * (k + 1) matrix cells once a
+#: level is a relation matrix.  parse_ballean, gen_product and gen_interval
+#: refuse more before allocating.  `coarsekit inspect` on the largest
+#: accepted files peaks at 388 MB RSS (2**21 points, 1 level) and 289 MB
+#: (2048 points, 2047 levels) on a 2-CPU x86 VM with Python 3.11.
+BALLEAN_ENTRY_LIMIT = 1 << 22
 
 
 def _as_bool_matrix(m, n):
@@ -248,10 +252,12 @@ def gen_product(sizes: Sequence[int]) -> Tower:
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise ValueError("all factor sizes must be positive")
+    k = len(sizes)
     n = 1
     for s in sizes:
         n *= s
-    k = len(sizes)
+        if n * (k + 1) > BALLEAN_ENTRY_LIMIT:
+            raise ValueError(f"the product exceeds the limit of {BALLEAN_ENTRY_LIMIT} label entries")
     labels = []
     stride = 1
     for j in range(k + 1):
@@ -295,6 +301,8 @@ def gen_interval(n: int, radii: Sequence[int]) -> EntourageChain:
         raise ValueError("radii must strictly increase")
     if not radii or radii[-1] < n - 1:
         raise ValueError(f"last radius must be at least n - 1 = {n - 1}")
+    if n * n * (len(radii) + 1) > BALLEAN_ENTRY_LIMIT:
+        raise ValueError(f"the interval exceeds the limit of {BALLEAN_ENTRY_LIMIT} matrix entries")
     idx = np.arange(n)
     gap = np.abs(idx[:, None] - idx[None, :])
     return EntourageChain([gap == 0] + [gap <= r for r in radii])
@@ -608,25 +616,12 @@ def format_ballean(chain: EntourageChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _meaningful_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _is_natural(tok: str) -> bool:
-    """ASCII digits only: str.isdigit also accepts superscripts and other
-    Unicode digits, which int() then rejects or reads unexpectedly."""
-    return tok.isascii() and tok.isdigit()
-
-
 def _parse_cells(body: str, n: int, lineno: int) -> list:
     """A `cells:` body as a label row (cell index per point)."""
     row = [-1] * n
     for ci, cell_text in enumerate(body.split("|")):
         for tok in cell_text.split():
-            if not _is_natural(tok):
+            if not is_natural(tok):
                 raise FormatError(f"bad point {tok!r}", lineno)
             p = int(tok)
             if not 0 <= p < n:
@@ -646,7 +641,7 @@ def _parse_pairs(body: str, n: int, lineno: int) -> np.ndarray:
         if not (tok.startswith("(") and tok.endswith(")")):
             raise FormatError(f"bad pair {tok!r}", lineno)
         nums = [s.strip() for s in tok[1:-1].split(",")]
-        if len(nums) != 2 or not all(_is_natural(s) for s in nums):
+        if len(nums) != 2 or not all(is_natural(s) for s in nums):
             raise FormatError(f"bad pair {tok!r}", lineno)
         a, b = (int(s) for s in nums)
         if a == b:
@@ -659,35 +654,27 @@ def _parse_pairs(body: str, n: int, lineno: int) -> np.ndarray:
 
 def parse_ballean(text: str) -> EntourageChain:
     """Parse the ballean text format; returns a Tower when every level is
-    an equivalence relation, a general EntourageChain otherwise.
+    an equivalence relation, a general EntourageChain otherwise."""
+    return read_ballean(Lines(text))
+
+
+def read_ballean(lines: Lines) -> EntourageChain:
+    """Read a ballean block: the cursor's lines to the end of its range.
 
     A file whose levels are all `cells:` becomes label rows directly; the
     n x n relation matrices are built only when some level lists pairs."""
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "ballean v1":
-        raise FormatError("expected header 'ballean v1'", lines[0][0] if lines else 1)
-    header = {}
-    for key in ("points", "levels"):
-        idx = len(header) + 1
-        if idx >= len(lines):
-            raise FormatError(f"missing '{key} N' line", lines[-1][0])
-        lineno, line = lines[idx]
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != key or not _is_natural(parts[1]):
-            raise FormatError(f"expected '{key} N'", lineno)
-        header[key] = int(parts[1])
-    n, k = header["points"], header["levels"]
+    top_line = lines.header("ballean v1")
+    points_line, n = lines.key("points")
+    levels_line, k = lines.key("levels")
     if n < 1:
-        raise FormatError("points must be at least 1", lines[1][0])
+        raise FormatError("points must be at least 1", points_line)
     if k == 0 and n != 1:
-        raise FormatError("levels 0 requires points 1", lines[2][0])
+        raise FormatError("levels 0 requires points 1", levels_line)
     seen: dict = {}
-    for lineno, line in lines[3:]:
-        if not line.startswith("level "):
-            raise FormatError("expected a 'level i cells:'/'level i pairs:' line", lineno)
-        rest = line[len("level "):]
+    while lines.more():
+        lineno, rest = lines.prefixed("level ", "expected a 'level i cells:'/'level i pairs:' line")
         parts = rest.split(None, 1)
-        if len(parts) != 2 or not _is_natural(parts[0]):
+        if len(parts) != 2 or not is_natural(parts[0]):
             raise FormatError("expected 'level i cells:' or 'level i pairs:'", lineno)
         i = int(parts[0])
         if not 1 <= i <= k - 1:
@@ -701,16 +688,23 @@ def parse_ballean(text: str) -> EntourageChain:
         seen[i] = (lineno, kind, body.strip())
     for i in range(1, k):
         if i not in seen:
-            raise FormatError(f"missing level {i}", lines[-1][0])
+            raise FormatError(f"missing level {i}", lines.here)
+    dense = any(kind == "pairs" for _, kind, _ in seen.values())
+    if n * (n if dense else 1) * (k + 1) > BALLEAN_ENTRY_LIMIT:
+        raise FormatError(
+            f"points and levels exceed the limit of {BALLEAN_ENTRY_LIMIT} "
+            + ("matrix entries" if dense else "label entries"),
+            points_line,
+        )
 
     # level i + 1's line is blamed when level i is not contained in it; the
     # top level is implicit, so the header line stands for it
-    level_line = [seen[i][0] for i in range(1, k)] + [lines[0][0]]
+    level_line = [seen[i][0] for i in range(1, k)] + [top_line]
     middle = [
         (_parse_cells if kind == "cells" else _parse_pairs)(body, n, lineno)
         for lineno, kind, body in (seen[i] for i in range(1, k))
     ]
-    if all(seen[i][1] == "cells" for i in range(1, k)):
+    if not dense:
         rows = [list(range(n)), *middle] + ([[0] * n] if k >= 1 else [])
         for i in range(1, len(rows) - 1):
             if _split_point(rows[i], rows[i + 1]) is not None:

@@ -6,7 +6,9 @@ level; coordinatizing both regrouped towers onto the common product then
 yields a bijection whose shift tables come straight from the block
 boundaries.  The certificate records the towers, the multi-map, the shift
 tables, a construction transcript and the verified minimal shifts, and can
-be re-verified from its serialized body alone.
+be re-verified from its serialized body alone.  Its text is read on the
+line grammar of textio: the towers as ballean blocks and the pairs as
+multimap pair lines, with the line numbers of the whole file.
 
 Homogeneity at shift s has two independent readings kept side by side: the
 spectral one (some regrouping with blocks of width at most s+1 is uniform)
@@ -21,15 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balleans import (
-    FormatError,
-    Tower,
-    _is_natural,
-    _meaningful_lines,
-    format_ballean,
-    parse_ballean,
-    spectrum,
-)
+from .balleans import Tower, format_ballean, read_ballean, spectrum
 from .coordinates import coordinatize
 from .multimaps import (
     EquivalenceReport,
@@ -39,6 +33,7 @@ from .multimaps import (
     format_multimap,
     search_equivalence,
 )
+from .textio import FormatError, Lines, is_natural
 
 HOMOGENEITY_ORACLE_CAP = 24
 
@@ -382,87 +377,49 @@ def format_certificate(cert: Certificate) -> str:
     return "".join(parts)
 
 
-def _parse_int_list(body: str, lineno: int) -> tuple:
-    vals = body.split()
-    if not vals or not all(_is_natural(v) for v in vals):
-        raise FormatError("expected a list of naturals", lineno)
-    return tuple(int(v) for v in vals)
+def _read_tower(lines: Lines) -> Tower:
+    first = lines.here
+    got = read_ballean(lines)
+    if not isinstance(got, Tower):
+        raise FormatError("certificate towers must be cellular", first)
+    return got
 
 
 def parse_certificate(text: str) -> Certificate:
-    raw_lines = text.splitlines()
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "certificate v1":
-        raise FormatError("expected header 'certificate v1'", lines[0][0] if lines else 1)
-
-    def find_marker(marker, start):
-        for pos in range(start, len(lines)):
-            if lines[pos][1] == marker:
-                return pos
-        raise FormatError(f"missing '{marker}' section", lines[-1][0])
-
-    ix = find_marker("tower X", 0)
-    iy = find_marker("tower Y", ix + 1)
-    im = find_marker("multimap v1", iy + 1)
-
-    def slice_text(a, b):
-        first = lines[a][0]
-        last = lines[b][0] if b < len(lines) else len(raw_lines) + 1
-        return "\n".join(raw_lines[first - 1:last - 1]), first - 1
-
-    def parse_tower_block(a, b):
-        block, offset = slice_text(a, b)
-        try:
-            got = parse_ballean(block)
-        except FormatError as e:
-            raise FormatError(str(e).split(": ", 1)[1], e.line + offset)
-        if not isinstance(got, Tower):
-            raise FormatError("certificate towers must be cellular", lines[a][0])
-        return got
-
-    tx = parse_tower_block(ix + 1, iy)
-    ty = parse_tower_block(iy + 1, im)
-
+    """Read a certificate back; ranges and shift tables are left to
+    verify_certificate."""
+    lines = Lines(text)
+    lines.header("certificate v1")
+    # every section marker is located before any block is read, so a missing
+    # one is reported ahead of an error inside a block
+    ix = lines.find("tower X", lines.pos)
+    iy = lines.find("tower Y", ix + 1)
+    im = lines.find("multimap v1", iy + 1)
+    if ix != lines.pos:
+        raise FormatError("expected 'tower X'", lines.here)
+    tx = _read_tower(lines.block(ix + 1, iy))
+    ty = _read_tower(lines.block(iy + 1, im))
+    lines.pos = im + 1
     pairs = []
-    pos = im + 1
-    while pos < len(lines) and lines[pos][1].startswith("pair "):
-        lineno, line = lines[pos]
-        parts = line.split()
-        if len(parts) != 3 or not _is_natural(parts[1]) or not _is_natural(parts[2]):
-            raise FormatError("expected 'pair x y'", lineno)
-        pairs.append((int(parts[1]), int(parts[2])))
-        pos += 1
-
-    def expect_prefix(prefix):
-        nonlocal pos
-        if pos >= len(lines) or not lines[pos][1].startswith(prefix):
-            at = lines[pos][0] if pos < len(lines) else lines[-1][0]
-            raise FormatError(f"expected '{prefix}' line", at)
-        lineno, line = lines[pos]
-        pos += 1
-        return lineno, line[len(prefix):].strip()
-
-    lineno, body = expect_prefix("shift-fwd:")
-    fwd = _parse_int_list(body, lineno)
-    lineno, body = expect_prefix("shift-bwd:")
-    bwd = _parse_int_list(body, lineno)
+    while lines.peek().startswith("pair "):
+        pairs.append(lines.pair()[1])
+    fwd = lines.naturals_line("shift-fwd:", "expected a list of naturals")
+    bwd = lines.naturals_line("shift-bwd:", "expected a list of naturals")
     transcript = []
-    while pos < len(lines) and lines[pos][1].startswith("transcript:"):
-        transcript.append(lines[pos][1][len("transcript:"):].strip())
-        pos += 1
-    lineno, body = expect_prefix("verified: pass")
+    while lines.peek().startswith("transcript:"):
+        transcript.append(lines.prefixed("transcript:")[1])
+    lineno, body = lines.prefixed("verified: pass")
     parts = body.split()
     if (
         len(parts) != 2
         or not parts[0].startswith("s=")
         or not parts[1].startswith("t=")
-        or not _is_natural(parts[0][2:])
-        or not _is_natural(parts[1][2:])
+        or not is_natural(parts[0][2:])
+        or not is_natural(parts[1][2:])
     ):
         raise FormatError("expected 'verified: pass s=N t=N'", lineno)
     s, t = int(parts[0][2:]), int(parts[1][2:])
-    if pos != len(lines):
-        raise FormatError("unexpected trailing content", lines[pos][0])
+    lines.end()
     return Certificate(tx, ty, tuple(sorted(set(pairs))), fwd, bwd, tuple(transcript), s, t)
 
 

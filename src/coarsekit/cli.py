@@ -20,9 +20,8 @@ import sys
 
 from . import __version__
 from .balleans import (
-    FormatError,
+    BALLEAN_ENTRY_LIMIT,
     Tower,
-    _is_natural,
     format_ballean,
     gen_interval,
     gen_product,
@@ -58,6 +57,7 @@ from .ordinals import (
     parse_ordinal,
     tail,
 )
+from .textio import FormatError, is_natural
 
 
 class DomainFailure(Exception):
@@ -68,13 +68,18 @@ class UsageFailure(Exception):
     pass
 
 
-def _read_chain(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise UsageFailure(f"cannot read {path}: {e.strerror}")
-    return parse_ballean(text)
+    except UnicodeDecodeError as e:
+        raise UsageFailure(f"cannot read {path}: not UTF-8 text (byte {e.start})")
+
+
+def _read_chain(path: str):
+    return parse_ballean(_read_text(path))
 
 
 def _require_tower(chain, path: str) -> Tower:
@@ -106,7 +111,7 @@ def _oracle(call, *args, **kwargs):
 
 def _parse_int_csv(text: str, what: str):
     parts = [p for p in text.split(",") if p != ""]
-    if not parts or not all(_is_natural(p.strip().lstrip("-")) for p in parts):
+    if not parts or not all(is_natural(p.strip().removeprefix("-")) for p in parts):
         raise UsageFailure(f"expected a comma-separated list of integers for {what}")
     return [int(p) for p in parts]
 
@@ -141,20 +146,23 @@ def cmd_gen(args, out):
         sizes = _parse_int_csv(args.params[0], "product sizes")
         if any(s < 1 for s in sizes):
             raise UsageFailure("product sizes must be positive")
-        chain = gen_product(sizes)
     elif args.kind == "cube":
-        if len(args.params) != 1 or not _is_natural(args.params[0]):
+        if len(args.params) != 1 or not is_natural(args.params[0]):
             raise UsageFailure("usage: gen cube K")
-        chain = gen_product([2] * int(args.params[0]))
+        # 2**K points over K + 1 levels: a K past the limit is refused
+        # before its list of sizes is built
+        if int(args.params[0]) >= BALLEAN_ENTRY_LIMIT:
+            raise UsageFailure(f"the cube exceeds the limit of {BALLEAN_ENTRY_LIMIT} label entries")
+        sizes = [2] * int(args.params[0])
     else:
-        if len(args.params) != 2 or not _is_natural(args.params[0]):
+        if len(args.params) != 2 or not is_natural(args.params[0]):
             raise UsageFailure("usage: gen interval N r1,r2,...")
         n = int(args.params[0])
         radii = _parse_int_csv(args.params[1], "radii")
-        try:
-            chain = gen_interval(n, radii)
-        except ValueError as e:
-            raise UsageFailure(str(e))
+    try:
+        chain = gen_interval(n, radii) if args.kind == "interval" else gen_product(sizes)
+    except ValueError as e:
+        raise UsageFailure(str(e))
     out.write(format_ballean(chain))
     return 0
 
@@ -245,12 +253,7 @@ def cmd_equiv(args, out, err):
 
 
 def cmd_verify(args, out):
-    try:
-        with open(args.cert_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageFailure(f"cannot read {args.cert_file}: {e.strerror}")
-    res = verify_certificate(text)
+    res = verify_certificate(_read_text(args.cert_file))
     print(res.reason, file=out)
     if not res.ok:
         raise DomainFailure("certificate verification failed")

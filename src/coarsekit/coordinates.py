@@ -12,9 +12,12 @@ where d is the level ultrametric, a = d(x, y) - 1, c_a(y) is the least
 element of y's level-a class and delta_a is the unit vector at coordinate
 a.  The recursion terminates because d(c_a(y), y) <= a < d(x, y).
 
-The recursion is implemented literally; the closed "truncation law"
-(coordinate alpha equals n_alpha(y) below d(x, y) and 0 from there up) is
-kept separate as a verification oracle, never as the construction.
+Each step makes one recursive call, so the recursion runs as the loop
+x <- c_a(y) while d(x, y) > 0, the same steps in the same order at any
+depth.  The closed "truncation law" (coordinate alpha equals n_alpha(y)
+below d(x, y) and 0 from there up) is kept separate as a verification
+oracle, never as the construction.  The `coordmap v1` format is read on
+the line grammar of textio.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .balleans import (
-    FormatError, Tower, _is_natural, _meaningful_lines, _split_point, gen_product, spectrum,
-)
+from .balleans import Tower, _split_point, gen_product, spectrum
+from .textio import FormatError, Lines, is_natural, naturals
 
 
 def _resolve_order(tower: Tower, order: Optional[Sequence[int]]) -> tuple:
@@ -112,15 +114,14 @@ def coordinatize(
     d = tower.dist
     k = tower.k
 
-    # each call for y descends to a strictly lower level, so no (x, y) is
-    # reached twice and nothing is worth remembering
+    # each step for y descends to a strictly lower level and makes the one
+    # recursive call as the next turn of the loop
     def code_rel(x: int, y: int) -> tuple:
-        dist = d(x, y)
-        if dist == 0:
-            return (0,) * k
-        a = dist - 1
-        vec = list(code_rel(c[a][y], y))
-        vec[a] += nums[a][y]
+        vec = [0] * k
+        while (dist := d(x, y)) > 0:
+            a = dist - 1
+            vec[a] += nums[a][y]
+            x = c[a][y]
         return tuple(vec)
 
     codes = tuple(code_rel(base, y) for y in range(tower.n))
@@ -269,29 +270,25 @@ def format_coordmap(cm: CoordMap) -> str:
 def parse_coordmap(text: str):
     """Read back a code table as (base, codes); the tower itself is not
     part of the format."""
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "coordmap v1":
-        raise FormatError("expected header 'coordmap v1'", lines[0][0] if lines else 1)
-    if len(lines) < 2 or not lines[1][1].startswith("base "):
-        raise FormatError("expected 'base x'", lines[1][0] if len(lines) > 1 else lines[0][0])
-    base_txt = lines[1][1][len("base "):].strip()
-    if not _is_natural(base_txt):
-        raise FormatError("expected 'base x'", lines[1][0])
-    base = int(base_txt)
+    lines = Lines(text)
+    lines.header("coordmap v1")
+    lineno, body = lines.prefixed("base ", "expected 'base x'")
+    if not is_natural(body):
+        raise FormatError("expected 'base x'", lineno)
+    base = int(body)
     codes = {}
-    for lineno, line in lines[2:]:
-        if not line.startswith("code "):
-            raise FormatError("expected 'code y: v0 v1 ...'", lineno)
-        head, _, body = line[len("code "):].partition(":")
-        if not _is_natural(head.strip()):
+    while lines.more():
+        lineno, rest = lines.prefixed("code ", "expected 'code y: v0 v1 ...'")
+        head, _, body = rest.partition(":")
+        if not is_natural(head.strip()):
             raise FormatError("expected 'code y: v0 v1 ...'", lineno)
         y = int(head)
         if y in codes:
             raise FormatError(f"duplicate code line for point {y}", lineno)
-        vals = body.split()
-        if not all(_is_natural(v) for v in vals):
+        code = naturals(body)
+        if code is None:
             raise FormatError("coordinates must be naturals", lineno)
-        codes[y] = tuple(int(v) for v in vals)
+        codes[y] = code
     if sorted(codes) != list(range(len(codes))):
-        raise FormatError("code lines must cover points 0..n-1", lines[-1][0])
+        raise FormatError("code lines must cover points 0..n-1", lines.here)
     return base, tuple(codes[y] for y in range(len(codes)))

@@ -46,6 +46,7 @@ most, and the contexts of the last few tower pairs are kept for reuse.
 Coarseness checks between two towers work on the label rows through the
 target's level ultrametric and build no matrices; any other pair of chains
 goes through the dense oscillation matrices, which stay the reference.
+The `multimap v1` format is read on the line grammar of textio.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .balleans import (
-    EntourageChain, FormatError, Tower, _is_natural, _meaningful_lines, is_large, subspace,
-)
+from .balleans import EntourageChain, Tower, is_large, subspace
+from .textio import FormatError, Lines, is_natural
 
 DEFAULT_SEARCH_CAP = 10_000_000
 PAIR_UNIVERSE_LIMIT = 4096
@@ -79,7 +79,7 @@ def search_cap() -> int:
     raw = os.environ.get("COARSEKIT_SEARCH_CAP")
     if raw is None:
         return DEFAULT_SEARCH_CAP
-    if not _is_natural(raw):
+    if not is_natural(raw):
         raise ValueError(f"COARSEKIT_SEARCH_CAP must be a non-negative integer, got {raw!r}")
     return int(raw)
 
@@ -662,27 +662,23 @@ def format_multimap(phi: MultiMap, shifts=()) -> str:
 
 def parse_multimap(text: str, source: EntourageChain, target: EntourageChain):
     """Read back a multi-map; trailing `shift:` tables, if present, are
-    returned alongside it as plain tuples."""
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "multimap v1":
-        raise FormatError("expected header 'multimap v1'", lines[0][0] if lines else 1)
+    returned alongside it as plain tuples.  A pair out of range is blamed
+    on its own line."""
+    lines = Lines(text)
+    lines.header("multimap v1")
     pairs = []
+    while lines.more() and not lines.peek().startswith("shift:"):
+        pairs.append(lines.pair())
     shifts = []
-    for lineno, line in lines[1:]:
-        if line.startswith("shift:"):
-            vals = line[len("shift:"):].split()
-            if not vals or not all(_is_natural(v) for v in vals):
-                raise FormatError("expected 'shift: a0 a1 ...'", lineno)
-            shifts.append(tuple(int(v) for v in vals))
-            continue
-        if shifts:
-            raise FormatError("pair lines must precede shift tables", lineno)
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "pair" or not _is_natural(parts[1]) or not _is_natural(parts[2]):
-            raise FormatError("expected 'pair x y'", lineno)
-        pairs.append((int(parts[1]), int(parts[2])))
-    try:
-        phi = MultiMap(source, target, pairs)
-    except ValueError as e:
-        raise FormatError(str(e), lines[-1][0] if len(lines) > 1 else lines[0][0])
+    while lines.more():
+        shifts.append(
+            lines.naturals_line(
+                "shift:", "expected 'shift: a0 a1 ...'", "pair lines must precede shift tables"
+            )
+        )
+    for lineno, (x, y) in pairs:
+        for side, point, chain in (("source", x, source), ("target", y, target)):
+            if not 0 <= point < chain.n:
+                raise FormatError(f"{side} point {point} out of range", lineno)
+    phi = MultiMap(source, target, (p for _, p in pairs))
     return (phi, tuple(shifts)) if shifts else phi

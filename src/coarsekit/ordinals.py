@@ -16,6 +16,14 @@ import enum
 import functools
 from dataclasses import dataclass
 
+from .textio import is_natural
+
+#: the deepest nesting of parenthesized exponents parse_ordinal accepts.
+#: Parsing, formatting, comparison and the arithmetic recurse once per
+#: level; all of them still run at depth 200 from a shallow stack, so 100
+#: leaves the callers' frames room under the default recursion limit.
+ORDINAL_DEPTH_LIMIT = 100
+
 
 class OrdinalSyntaxError(ValueError):
     """Raised by parse_ordinal; carries the 0-based offset of the bad token."""
@@ -303,6 +311,7 @@ def classify_cardinal_ballean(gamma: Ordinal) -> BalleanClass:
 class _Scanner:
     text: str
     pos: int = 0
+    depth: int = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -318,13 +327,12 @@ class _Scanner:
         self.pos += 1
 
     def nat(self) -> int:
-        # ASCII digits only: str.isdigit also accepts superscripts, which
-        # int() rejects
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
-        if self.pos == start:
+        # empty, or more digits than int() converts
+        if not is_natural(self.text[start:self.pos]):
             raise OrdinalSyntaxError("expected a natural number", start)
         return int(self.text[start:self.pos])
 
@@ -344,9 +352,15 @@ def _parse_term(s: _Scanner) -> Ordinal:
         if s.peek() == "^":
             s.pos += 1
             if s.peek() == "(":
+                s.depth += 1
+                if s.depth > ORDINAL_DEPTH_LIMIT:
+                    raise OrdinalSyntaxError(
+                        f"exponents nested deeper than {ORDINAL_DEPTH_LIMIT}", s.pos
+                    )
                 s.pos += 1
                 exponent = _parse_expr(s)
                 s.expect(")")
+                s.depth -= 1
             else:
                 exponent = _parse_atom(s)
         coeff = 1

@@ -161,3 +161,10 @@ def random_tower(rng, max_n, max_levels, allow_duplicates=True):
     if n > 1 or k >= 1:
         labels.append([0] * n)
     return Tower(labels)
+
+
+@lru_cache(maxsize=None)
+def deep_tower(n):
+    """n points over n - 1 distinct levels: level i joins the last i + 1
+    points, so point 0 joins only at the top."""
+    return Tower([[min(x, n - 1 - i) for x in range(n)] for i in range(n)])

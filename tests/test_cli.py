@@ -355,3 +355,42 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
         os.close(write_end)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+def test_ordinal_nested_too_deep_exit_2():
+    code, out, err = invoke(["ordinal", "eval", "w^(" * 2000 + "1" + ")" * 2000])
+    assert code == 2 and out == "" and "nested deeper" in err
+
+
+@pytest.mark.parametrize("command", ["inspect", "verify"])
+def test_non_utf8_file_exit_2(tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("ballean v1\n# café\npoints 1\nlevels 0\n".encode("latin-1"))
+    code, out, err = invoke([command, str(path)])
+    assert code == 2 and out == ""
+    assert err == f"coarsekit: cannot read {path}: not UTF-8 text (byte 16)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "product", "2,--3"],
+        ["large", "{t}", "--set=0,--1"],
+        ["coordinatize", "{t}", "--order=0,1,2,--3"],
+    ],
+)
+def test_int_list_takes_one_minus_sign_at_most(tmp_path, argv):
+    t = write(tmp_path, "t.ballean", format_ballean(gen_product([2, 2])))
+    code, out, err = invoke([a.replace("{t}", t) for a in argv])
+    assert code == 2 and out == ""
+    assert "expected a comma-separated list of integers" in err
+
+
+def test_coordinatize_deep_tower(tmp_path):
+    from families import deep_tower
+
+    path = write(tmp_path, "deep.ballean", format_ballean(deep_tower(1200)))
+    code, out, err = invoke(["coordinatize", path])
+    assert code == 0
+    assert parse_coordmap(out)[0] == 0
+    assert "FAIL" not in err and "injective: yes" in err

@@ -293,3 +293,13 @@ def test_coordmap_rejects_non_ascii_digits(text, line):
     with pytest.raises(FormatError) as e:
         parse_coordmap(text)
     assert e.value.line == line
+
+
+def test_coordinatize_deeper_than_the_interpreter_stack():
+    from families import deep_tower
+
+    t = deep_tower(1200)
+    assert t.k == 1199
+    cm = coordinatize(t)
+    assert cm.codes[0] == (0,) * t.k
+    assert verify_coordinatization(cm).ok

@@ -271,3 +271,23 @@ def test_classify_macrocube_beyond_family():
         assert not bounded_beta_search(gamma, FAMILY)
     assert classify_cardinal_ballean(w_pow(ord_add(W, ONE))) is BalleanClass.CARDINAL_LINE
     assert ord_mul(w_pow(W), W) == w_pow(ord_add(W, ONE))
+
+
+def nested(depth):
+    return "w^(" * depth + "1" + ")" * depth
+
+
+def test_exponent_nesting_up_to_the_depth_limit():
+    from coarsekit.ordinals import ORDINAL_DEPTH_LIMIT
+
+    g = parse_ordinal(nested(ORDINAL_DEPTH_LIMIT))
+    depth = ORDINAL_DEPTH_LIMIT - 1  # the innermost w^(1) is w
+    assert format_ordinal(g) == "w^(" * depth + "w" + ")" * depth
+    assert parse_ordinal(format_ordinal(g)) == g
+    assert ord_mul(g, g) == Ordinal(((ord_add(g.terms[0][0], g.terms[0][0]), 1),))
+    assert ord_add(g, g) == Ordinal(((g.terms[0][0], 2),))
+    assert classify_cardinal_ballean(g) is BalleanClass.MACRO_CUBE
+    with pytest.raises(OrdinalSyntaxError) as e:
+        parse_ordinal(nested(ORDINAL_DEPTH_LIMIT + 1))
+    assert e.value.position == 3 * ORDINAL_DEPTH_LIMIT + 2  # the opening parenthesis
+    assert str(ORDINAL_DEPTH_LIMIT) in str(e.value)
