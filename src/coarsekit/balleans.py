@@ -15,6 +15,8 @@ BALLEAN_ENTRY_LIMIT entries is refused at its `points` line.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +32,7 @@ EXACT_COVER_LIMIT = 24
 #: tower read or generated as labels, n * n * (k + 1) matrix cells once a
 #: level is a relation matrix.  parse_ballean, gen_product and gen_interval
 #: refuse more before allocating.  `coarsekit inspect` on the largest
-#: accepted files peaks at 388 MB RSS (2**21 points, 1 level) and 289 MB
+#: accepted files peaks at 270 MB RSS (2**21 points, 1 level) and 257 MB
 #: (2048 points, 2047 levels) on a 2-CPU x86 VM with Python 3.11.
 BALLEAN_ENTRY_LIMIT = 1 << 22
 
@@ -96,7 +98,7 @@ class Tower(EntourageChain):
     """
 
     def __init__(self, labels: Sequence[Sequence[int]]):
-        labels = [tuple(int(v) for v in row) for row in labels]
+        labels = tuple(_canonical_labels(row) for row in labels)
         if not labels:
             raise ValueError("a tower needs at least one level")
         n = len(labels[0])
@@ -104,10 +106,11 @@ class Tower(EntourageChain):
             raise ValueError("a tower needs at least one point")
         if any(len(row) != n for row in labels):
             raise ValueError("all levels must label the same points")
-        labels = [_canonical_labels(row) for row in labels]
-        if labels[0] != tuple(range(n)):
+        # canonical ids rise by one at each new class, so only n singletons
+        # reach id n - 1, and only one block leaves every id 0
+        if labels[0][-1] != n - 1:
             raise ValueError("level 0 must be the singleton partition")
-        if any(v != 0 for v in labels[-1]):
+        if any(labels[-1]):
             raise ValueError("the top level must be a single block")
         for i in range(len(labels) - 1):
             x = _split_point(labels[i], labels[i + 1])
@@ -116,14 +119,11 @@ class Tower(EntourageChain):
                     f"level {i} does not refine level {i + 1} (class split at point {x})"
                 )
         self.n = n
-        self.labels = tuple(labels)
-        self._level_cache: dict = {}
-        self._classes_cache: dict = {}
+        self.labels = labels
         self._numbering_cache: dict = {}
         self._regroup_cache: dict = {}
         self._spectrum_cache = None
-        self._dist: Optional[np.ndarray] = None
-        self._hash = hash(self.labels)
+        self._hash = hash(labels)
 
     @staticmethod
     def from_partitions(n: int, partitions: Sequence[Iterable[Iterable[int]]]) -> "Tower":
@@ -158,27 +158,22 @@ class Tower(EntourageChain):
     def level(self, i: int) -> np.ndarray:
         if not 0 <= i <= self.k:
             raise IndexError(f"level {i} out of range 0..{self.k}")
-        m = self._level_cache.get(i)
-        if m is None:
-            row = np.asarray(self.labels[i])
-            m = row[:, None] == row[None, :]
-            m.setflags(write=False)
-            self._level_cache[i] = m
+        row = np.asarray(self.labels[i])
+        m = row[:, None] == row[None, :]
+        m.setflags(write=False)
         return m
 
     def levels(self):
         return tuple(self.level(i) for i in range(self.num_levels))
 
     def classes(self, i: int):
-        """The level-i classes as tuples of points, ordered by minimum."""
-        got = self._classes_cache.get(i)
-        if got is None:
-            cells: dict = {}
-            for x, c in enumerate(self.labels[i]):
-                cells.setdefault(c, []).append(x)
-            got = tuple(tuple(cells[c]) for c in sorted(cells, key=lambda c: cells[c][0]))
-            self._classes_cache[i] = got
-        return got
+        """The level-i classes as tuples of points, ordered by minimum: the
+        canonical ids number them so."""
+        row = self.labels[i]
+        cells = [[] for _ in range(max(row) + 1)]
+        for x, c in enumerate(row):
+            cells[c].append(x)
+        return tuple(map(tuple, cells))
 
     def dist(self, x: int, y: int) -> int:
         """The level ultrametric: the least level at which the labels of x
@@ -198,14 +193,11 @@ class Tower(EntourageChain):
         """level_dist for all pairs at once, in the smallest unsigned dtype:
         the distance of two points counts the proper levels separating them.
         A reference for tests; no tower algorithm builds it."""
-        if self._dist is None:
-            d = np.zeros((self.n, self.n), dtype=np.min_scalar_type(self.k))
-            for row in self.labels[:-1]:
-                r = np.asarray(row)
-                d += r[:, None] != r[None, :]
-            d.setflags(write=False)
-            self._dist = d
-        return self._dist
+        d = np.zeros((self.n, self.n), dtype=np.min_scalar_type(self.k))
+        for row in self.labels[:-1]:
+            r = np.asarray(row)
+            d += r[:, None] != r[None, :]
+        return d
 
     def __eq__(self, other):
         if isinstance(other, Tower):
@@ -221,10 +213,14 @@ class Tower(EntourageChain):
 
 def _split_point(fine, coarse) -> Optional[int]:
     """The first point whose class in the label row fine is split by the
-    label row coarse; None when fine refines coarse."""
-    parent: dict = {}
+    label row coarse; None when fine refines coarse.  The class ids of fine
+    are naturals, not necessarily all in use."""
+    parent = [None] * (max(fine) + 1)
     for x, (a, b) in enumerate(zip(fine, coarse)):
-        if parent.setdefault(a, b) != b:
+        p = parent[a]
+        if p is None:
+            parent[a] = b
+        elif p != b:
             return x
     return None
 
@@ -236,11 +232,7 @@ def _distinct_levels(rows) -> Tower:
 
 def _canonical_labels(row) -> tuple:
     """Renumber class ids by first occurrence."""
-    seen: dict = {}
-    out = []
-    for v in row:
-        out.append(seen.setdefault(v, len(seen)))
-    return tuple(out)
+    return tuple(map(defaultdict(itertools.count().__next__).__getitem__, row))
 
 
 # --- constructions -----------------------------------------------------------
@@ -473,14 +465,10 @@ def level_dist(tower: Tower, x: int, y: int) -> int:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Per-level branching counts of a tower.
+    """Per-level branching counts of a tower: lo[alpha] and hi[alpha] are
+    the least and the most level-alpha classes inside one level-(alpha+1)
+    class, and uniform says they agree at every level."""
 
-    per_point[alpha][x] counts the level-alpha classes inside the
-    level-(alpha+1) class of x; lo and hi are the level minima and maxima
-    and uniform says they agree everywhere.
-    """
-
-    per_point: tuple
     lo: tuple
     hi: tuple
     uniform: bool
@@ -491,16 +479,17 @@ def spectrum(tower: Tower) -> Spectrum:
         raise TypeError("spectrum needs a cellular tower")
     if tower._spectrum_cache is not None:
         return tower._spectrum_cache
-    per_point = []
-    for alpha in range(tower.k):
-        inner: dict = {}
-        for x in range(tower.n):
-            inner.setdefault(tower.labels[alpha + 1][x], set()).add(tower.labels[alpha][x])
-        counts = {parent: len(kids) for parent, kids in inner.items()}
-        per_point.append(tuple(counts[tower.labels[alpha + 1][x]] for x in range(tower.n)))
-    lo = tuple(min(row) for row in per_point)
-    hi = tuple(max(row) for row in per_point)
-    got = Spectrum(tuple(per_point), lo, hi, lo == hi)
+    lo, hi = [], []
+    for fine, coarse in zip(tower.labels, tower.labels[1:]):
+        # canonical ids number the classes from 0; parent[c] is the coarse
+        # class holding the fine class c
+        parent = [0] * (max(fine) + 1)
+        for c, p in zip(fine, coarse):
+            parent[c] = p
+        held = Counter(parent).values()
+        lo.append(min(held))
+        hi.append(max(held))
+    got = Spectrum(tuple(lo), tuple(hi), lo == hi)
     tower._spectrum_cache = got
     return got
 
@@ -540,9 +529,7 @@ def _components_labels(m: np.ndarray) -> list:
 def cellular_hull(chain: EntourageChain) -> Tower:
     """Replace each level by its transitive closure and renormalize the
     chain (consecutive duplicate levels collapse)."""
-    return _distinct_levels(
-        [_canonical_labels(_components_labels(chain.level(i))) for i in range(chain.num_levels)]
-    )
+    return _distinct_levels([_components_labels(chain.level(i)) for i in range(chain.num_levels)])
 
 
 def normalize(chain: EntourageChain) -> EntourageChain:
@@ -705,7 +692,7 @@ def read_ballean(lines: Lines) -> EntourageChain:
         for lineno, kind, body in (seen[i] for i in range(1, k))
     ]
     if not dense:
-        rows = [list(range(n)), *middle] + ([[0] * n] if k >= 1 else [])
+        rows = [range(n), *middle] + ([[0] * n] if k >= 1 else [])
         for i in range(1, len(rows) - 1):
             if _split_point(rows[i], rows[i + 1]) is not None:
                 raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
@@ -723,5 +710,5 @@ def read_ballean(lines: Lines) -> EntourageChain:
             raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
     chain = EntourageChain(mats)
     if is_cellular(chain):
-        return Tower([_canonical_labels(_components_labels(m)) for m in mats])
+        return Tower([_components_labels(m) for m in mats])
     return chain

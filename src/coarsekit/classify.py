@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .balleans import Tower, format_ballean, read_ballean, spectrum
-from .coordinates import coordinatize
+from .coordinates import CoordMap, coordinatize
 from .multimaps import (
     EquivalenceReport,
     MultiMap,
@@ -229,6 +229,26 @@ def build_equivalence(
     return Certificate(X, Y, pairs, fwd, bwd, tuple(transcript), rep.s, rep.t)
 
 
+def _transposition(cm: CoordMap, x: int, y: int) -> list:
+    """The pairs of the self-bijection of a uniform tower that swaps the
+    codes of x and y coordinatewise, conjugated through its code table cm."""
+    to_point = {code: p for p, code in enumerate(cm.codes)}
+    cx, cy = cm.codes[x], cm.codes[y]
+
+    def tau(code):
+        out = []
+        for v, va, vb in zip(code, cx, cy):
+            if v == va:
+                out.append(vb)
+            elif v == vb:
+                out.append(va)
+            else:
+                out.append(v)
+        return tuple(out)
+
+    return [(z, to_point[tau(code)]) for z, code in enumerate(cm.codes)]
+
+
 def point_transitive_map(tower: Tower, x: int, y: int) -> MultiMap:
     """A self-bijection moving x to y on a uniform tower: conjugate a
     coordinatewise transposition through the minimum-basepoint codes.
@@ -238,23 +258,7 @@ def point_transitive_map(tower: Tower, x: int, y: int) -> MultiMap:
         raise ValueError("point-transitive translations need a uniform tower")
     if not (0 <= x < tower.n and 0 <= y < tower.n):
         raise IndexError("point out of range")
-    cm = coordinatize(tower)
-    to_point = {code: p for p, code in enumerate(cm.codes)}
-    cx, cy = cm.codes[x], cm.codes[y]
-
-    def tau(code):
-        out = []
-        for a, (v, va, vb) in enumerate(zip(code, cx, cy)):
-            if v == va:
-                out.append(vb)
-            elif v == vb:
-                out.append(va)
-            else:
-                out.append(v)
-        return tuple(out)
-
-    pairs = [(z, to_point[tau(code)]) for z, code in enumerate(cm.codes)]
-    return MultiMap(tower, tower, pairs)
+    return MultiMap(tower, tower, _transposition(coordinatize(tower), x, y))
 
 
 @dataclass(frozen=True)
@@ -297,11 +301,11 @@ def is_homogeneous(
     bound = max((b - a for a, b in zip(bounds, bounds[1:])), default=1) - 1 if spectral else None
     translations: dict = {}
     if spectral:
-        reg = regroup(tower, bounds)
+        # the regrouped tower is uniform; its translations act on the tower
+        cm = coordinatize(regroup(tower, bounds))
         for x in range(min(tower.n, 6)):
             for y in range(x + 1, min(tower.n, 6)):
-                phi = point_transitive_map(reg, x, y)
-                translations[(x, y)] = MultiMap(tower, tower, phi.pairs)
+                translations[(x, y)] = MultiMap(tower, tower, _transposition(cm, x, y))
     oracle = None
     skipped = tower.n > oracle_cap
     failing = None

@@ -9,7 +9,8 @@ A negative --max-shift or --oracle-cap, a COARSEKIT_SEARCH_CAP that is not
 a non-negative integer, and an oracle search that runs out of nodes or
 exceeds the pair limit all exit 2: they leave the question unanswered.  So
 does a reader that closes stdout early (`coarsekit inspect t | head -1`):
-the answer was not delivered, and main() exits 2 with no traceback.
+the answer was not delivered, and main() exits 2 with no traceback.  An
+ordinal answer with a numeral longer than int() prints exits 2 as well.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .ordinals import (
     cardinal_tail,
     classify_cardinal_ballean,
     cofinality_class,
-    format_ordinal,
     is_additively_indecomposable,
     parse_ordinal,
     tail,
@@ -116,30 +116,36 @@ def _parse_int_csv(text: str, what: str):
     return [int(p) for p in parts]
 
 
-def cmd_ordinal(args, out):
+#: each ordinal op's answer; str() turns any of them into its output line
+_ORDINAL_OPS = {
+    "eval": lambda gamma: gamma,
+    "tail": tail,
+    "ctail": cardinal_tail,
+    "indec": lambda gamma: "true" if is_additively_indecomposable(gamma) else "false",
+    "cf": cofinality_class,
+    "classify": classify_cardinal_ballean,
+}
+
+
+def cmd_ordinal(args, out, err):
     try:
         gamma = parse_ordinal(args.expr)
     except OrdinalSyntaxError as e:
         raise UsageFailure(str(e))
     try:
-        if args.op == "eval":
-            print(format_ordinal(gamma), file=out)
-        elif args.op == "tail":
-            print(format_ordinal(tail(gamma)), file=out)
-        elif args.op == "ctail":
-            print(cardinal_tail(gamma), file=out)
-        elif args.op == "indec":
-            print("true" if is_additively_indecomposable(gamma) else "false", file=out)
-        elif args.op == "cf":
-            print(cofinality_class(gamma), file=out)
-        else:
-            print(classify_cardinal_ballean(gamma), file=out)
+        answer = _ORDINAL_OPS[args.op](gamma)
     except ValueError as e:
         raise DomainFailure(str(e))
+    try:
+        line = str(answer)
+    except ValueError as e:
+        # a numeral too long for int() to print: an output limit, not an answer
+        raise UsageFailure(f"the answer cannot be printed: {e}")
+    print(line, file=out)
     return 0
 
 
-def cmd_gen(args, out):
+def cmd_gen(args, out, err):
     if args.kind == "product":
         if len(args.params) != 1:
             raise UsageFailure("usage: gen product 2,3,4")
@@ -167,7 +173,7 @@ def cmd_gen(args, out):
     return 0
 
 
-def cmd_inspect(args, out):
+def cmd_inspect(args, out, err):
     chain = _read_chain(args.file)
     rep = validate(chain)
     print(f"points: {chain.n}", file=out)
@@ -252,7 +258,7 @@ def cmd_equiv(args, out, err):
     return 0
 
 
-def cmd_verify(args, out):
+def cmd_verify(args, out, err):
     res = verify_certificate(_read_text(args.cert_file))
     print(res.reason, file=out)
     if not res.ok:
@@ -260,7 +266,7 @@ def cmd_verify(args, out):
     return 0
 
 
-def cmd_homogeneous(args, out):
+def cmd_homogeneous(args, out, err):
     tower = _require_tower(_read_chain(args.file), args.file)
     rep = _oracle(is_homogeneous, tower, max_shift=args.max_shift, oracle_cap=args.oracle_cap)
     print(f"shift checked: {rep.shift}", file=out)
@@ -279,7 +285,7 @@ def cmd_homogeneous(args, out):
     return 0
 
 
-def cmd_large(args, out):
+def cmd_large(args, out, err):
     chain = _read_chain(args.file)
     pts = _parse_int_csv(args.set, "--set")
     if any(not 0 <= p < chain.n for p in pts):
@@ -301,36 +307,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("ordinal", help="Cantor-normal-form ordinal computations")
-    q.add_argument("op", choices=["eval", "tail", "ctail", "indec", "cf", "classify"])
+    q.set_defaults(run=cmd_ordinal)
+    q.add_argument("op", choices=list(_ORDINAL_OPS))
     q.add_argument("expr")
 
     q = sub.add_parser("gen", help="emit a tower/chain file on stdout")
+    q.set_defaults(run=cmd_gen)
     q.add_argument("kind", choices=["product", "cube", "interval"])
     q.add_argument("params", nargs="+")
 
     q = sub.add_parser("inspect", help="validation report, spectrum, covering invariants")
+    q.set_defaults(run=cmd_inspect)
     q.add_argument("file")
 
     q = sub.add_parser("coordinatize", help="code table plus verification report")
+    q.set_defaults(run=cmd_coordinatize)
     q.add_argument("file")
     q.add_argument("--base", type=int, default=None)
     q.add_argument("--order", default="natural")
 
     q = sub.add_parser("equiv", help="certificate (constructive) or oracle witness")
+    q.set_defaults(run=cmd_equiv)
     q.add_argument("x_file")
     q.add_argument("y_file")
     q.add_argument("--max-shift", type=int, default=None)
     q.add_argument("--oracle", action="store_true")
 
     q = sub.add_parser("verify", help="re-check a certificate from its body")
+    q.set_defaults(run=cmd_verify)
     q.add_argument("cert_file")
 
     q = sub.add_parser("homogeneous", help="spectral and oracle homogeneity verdicts")
+    q.set_defaults(run=cmd_homogeneous)
     q.add_argument("file")
     q.add_argument("--max-shift", type=int, default=None)
     q.add_argument("--oracle-cap", type=int, default=HOMOGENEITY_ORACLE_CAP)
 
     q = sub.add_parser("large", help="least level at which a set is large")
+    q.set_defaults(run=cmd_large)
     q.add_argument("file")
     q.add_argument("--set", required=True)
     return p
@@ -346,23 +360,7 @@ def run(argv, out=None, err=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         _check_oracle_options(args)
-        if args.command == "ordinal":
-            return cmd_ordinal(args, out)
-        if args.command == "gen":
-            return cmd_gen(args, out)
-        if args.command == "inspect":
-            return cmd_inspect(args, out)
-        if args.command == "coordinatize":
-            return cmd_coordinatize(args, out, err)
-        if args.command == "equiv":
-            return cmd_equiv(args, out, err)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        if args.command == "homogeneous":
-            return cmd_homogeneous(args, out)
-        if args.command == "large":
-            return cmd_large(args, out)
-        raise UsageFailure(f"unknown command {args.command}")
+        return args.run(args, out, err)
     except DomainFailure as e:
         print(f"coarsekit: {e}", file=err)
         return 1

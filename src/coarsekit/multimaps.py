@@ -215,16 +215,16 @@ class _DenseFit:
     """Oscillations of a map between general chains, as matrices."""
 
     def __init__(self, phi: MultiMap):
-        self.target = phi.target
+        self.levels = phi.target.levels()
         self.oscs = [oscillation(phi, a) for a in range(phi.source.num_levels)]
 
     def fits(self, alpha: int, j: int) -> bool:
         """Does the level-alpha oscillation lie in target level j?"""
-        return not (self.oscs[alpha] & ~self.target.level(j)).any()
+        return not (self.oscs[alpha] & ~self.levels[j]).any()
 
     def witness(self, alpha: int, j: int) -> tuple:
         """The least escaping pair in lexicographic order."""
-        u, v = np.argwhere(self.oscs[alpha] & ~self.target.level(j))[0]
+        u, v = np.argwhere(self.oscs[alpha] & ~self.levels[j])[0]
         return int(u), int(v)
 
 

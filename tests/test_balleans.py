@@ -1,9 +1,11 @@
+import io
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from coarsekit import cli
 from coarsekit.balleans import (
     EntourageChain,
     FormatError,
@@ -197,6 +199,30 @@ def test_spectrum_matches_sizes_randomly():
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
         s = spectrum(gen_product(sizes))
         assert s.lo == tuple(sizes) and s.hi == tuple(sizes)
+
+
+def reference_spectrum(t):
+    """lo/hi as the min/max over points of the level-alpha classes inside
+    the point's level-(alpha+1) class, counted from classes()."""
+    lo, hi = [], []
+    for alpha in range(t.k):
+        fine = t.classes(alpha)
+        per_point = []
+        for cls in t.classes(alpha + 1):
+            per_point += [sum(1 for c in fine if c[0] in cls)] * len(cls)
+        lo.append(min(per_point))
+        hi.append(max(per_point))
+    return tuple(lo), tuple(hi)
+
+
+def test_spectrum_matches_class_count_reference():
+    rng = random.Random(9)
+    towers = [*exhaustive_towers(6, 3), *(random_tower(rng, 40, 6) for _ in range(200))]
+    assert any(not spectrum(t).uniform for t in towers[-200:])
+    for t in towers:
+        lo, hi = reference_spectrum(t)
+        s = spectrum(t)
+        assert (s.lo, s.hi, s.uniform) == (lo, hi, lo == hi), t.labels
 
 
 def test_tower_class_sizes_partition():
@@ -429,6 +455,18 @@ def test_cells_files_parse_as_their_pairs_spelling():
         else:
             got = parse_ballean(text)
             assert isinstance(got, Tower) and got == want
+
+
+def test_empty_cells_keep_their_ids_out_of_the_classes(tmp_path):
+    """A cells: line may list empty cells, so its raw ids can exceed the
+    number of classes, and here the number of points too."""
+    text = "ballean v1\npoints 2\nlevels 3\nlevel 1 cells: 0 | | | | 1\nlevel 2 cells: 0 | 1\n"
+    t = parse_ballean(text)
+    assert isinstance(t, Tower)
+    assert t.labels == ((0, 1), (0, 1), (0, 1), (0, 0))
+    path = tmp_path / "empty.ballean"
+    path.write_text(text)
+    assert cli.run(["inspect", str(path)], io.StringIO(), io.StringIO()) == 0
 
 
 def test_non_nested_cells_report_the_coarser_line():

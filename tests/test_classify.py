@@ -273,6 +273,23 @@ def test_point_transitive_maps():
     assert check_equivalence(swap).passed
 
 
+def test_translations_match_point_transitive_maps():
+    """is_homogeneous's translations are point_transitive_map's bijections
+    on the regrouped tower, carried over to the tower itself."""
+    checked = 0
+    for t in exhaustive_towers(6, 3):
+        for s in range(max(t.k, 1)):
+            rep = is_homogeneous(t, s, oracle_cap=0)
+            if not rep.spectral:
+                continue
+            reg = regroup(t, rep.regrouping)
+            for (x, y), phi in rep.translations.items():
+                assert phi.source is t and phi.target is t
+                assert phi.pairs == point_transitive_map(reg, x, y).pairs, (t.labels, s, x, y)
+                checked += 1
+    assert checked > 10_000
+
+
 def test_point_transitive_requires_uniform():
     with pytest.raises(ValueError):
         point_transitive_map(three_point_tower(), 0, 2)

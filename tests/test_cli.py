@@ -357,6 +357,19 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_ordinal_answer_too_long_to_print_exit_2():
+    """Each addend converts, the sum has one digit more than int() prints:
+    an output limit, so exit 2 with one line, where a refused answer exits 1."""
+    nines = "9" * 4300
+    code, out, err = invoke(["ordinal", "eval", f"{nines} + {nines}"])
+    assert code == 2 and out == ""
+    assert err.startswith("coarsekit: the answer cannot be printed: ") and err.count("\n") == 1
+    code, out, err = invoke(["ordinal", "tail", f"w^{nines} + w^{nines}"])
+    assert (code, out) == (0, f"w^{nines}\n")
+    code, out, _ = invoke(["ordinal", "tail", f"w^({nines} + {nines})"])
+    assert code == 2 and out == ""
+
+
 def test_ordinal_nested_too_deep_exit_2():
     code, out, err = invoke(["ordinal", "eval", "w^(" * 2000 + "1" + ")" * 2000])
     assert code == 2 and out == "" and "nested deeper" in err

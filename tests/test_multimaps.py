@@ -405,7 +405,8 @@ def reference_context(X, Y, s):
     levels up to k + 1.  On levels up to k they give the same verdicts as
     the plain constant-s tables."""
     def least_levels(c):
-        return [[next((i for i in range(c.num_levels) if c.level(i)[u, v]), c.k + 1)
+        levels = c.levels()
+        return [[next((i for i, level in enumerate(levels) if level[u, v]), c.k + 1)
                  for v in range(c.n)]
                 for u in range(c.n)]
 
