@@ -16,7 +16,7 @@ BALLEAN_ENTRY_LIMIT entries is refused at its `points` line.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -112,17 +112,24 @@ class Tower(EntourageChain):
             raise ValueError("level 0 must be the singleton partition")
         if any(labels[-1]):
             raise ValueError("the top level must be a single block")
+        # one pass per level pair: the coarse class of every fine class both
+        # checks the nesting and, counted per coarse class, gives the spectrum
+        lo, hi = [], []
         for i in range(len(labels) - 1):
-            x = _split_point(labels[i], labels[i + 1])
+            parent = [None] * (max(labels[i]) + 1)
+            x = _split_point(labels[i], labels[i + 1], parent)
             if x is not None:
-                raise ValueError(
-                    f"level {i} does not refine level {i + 1} (class split at point {x})"
-                )
+                raise NestingError(i, x)
+            held = [0] * (max(labels[i + 1]) + 1)
+            for p in parent:
+                held[p] += 1
+            lo.append(min(held))
+            hi.append(max(held))
         self.n = n
         self.labels = labels
+        self._spectrum = Spectrum(tuple(lo), tuple(hi), lo == hi)
         self._numbering_cache: dict = {}
         self._regroup_cache: dict = {}
-        self._spectrum_cache = None
         self._hash = hash(labels)
 
     @staticmethod
@@ -211,11 +218,19 @@ class Tower(EntourageChain):
         return f"<Tower n={self.n} levels=0..{self.k}>"
 
 
-def _split_point(fine, coarse) -> Optional[int]:
+class NestingError(ValueError):
+    """A tower's label row at `level` does not refine the next one."""
+
+    def __init__(self, level: int, x: int):
+        super().__init__(f"level {level} does not refine level {level + 1} (class split at point {x})")
+        self.level = level
+
+
+def _split_point(fine, coarse, parent: list) -> Optional[int]:
     """The first point whose class in the label row fine is split by the
-    label row coarse; None when fine refines coarse.  The class ids of fine
-    are naturals, not necessarily all in use."""
-    parent = [None] * (max(fine) + 1)
+    label row coarse; None when fine refines coarse, and then parent[c] is
+    the coarse class holding the fine class c.  parent comes as a list of
+    None with an entry for every id of fine, in use or not."""
     for x, (a, b) in enumerate(zip(fine, coarse)):
         p = parent[a]
         if p is None:
@@ -475,23 +490,11 @@ class Spectrum:
 
 
 def spectrum(tower: Tower) -> Spectrum:
+    """The tower's branching counts, counted by its constructor in the same
+    pass over each pair of consecutive levels that checks their nesting."""
     if not isinstance(tower, Tower):
         raise TypeError("spectrum needs a cellular tower")
-    if tower._spectrum_cache is not None:
-        return tower._spectrum_cache
-    lo, hi = [], []
-    for fine, coarse in zip(tower.labels, tower.labels[1:]):
-        # canonical ids number the classes from 0; parent[c] is the coarse
-        # class holding the fine class c
-        parent = [0] * (max(fine) + 1)
-        for c, p in zip(fine, coarse):
-            parent[c] = p
-        held = Counter(parent).values()
-        lo.append(min(held))
-        hi.append(max(held))
-    got = Spectrum(tuple(lo), tuple(hi), lo == hi)
-    tower._spectrum_cache = got
-    return got
+    return tower._spectrum
 
 
 # --- cellularity -------------------------------------------------------------
@@ -692,11 +695,11 @@ def read_ballean(lines: Lines) -> EntourageChain:
         for lineno, kind, body in (seen[i] for i in range(1, k))
     ]
     if not dense:
-        rows = [range(n), *middle] + ([[0] * n] if k >= 1 else [])
-        for i in range(1, len(rows) - 1):
-            if _split_point(rows[i], rows[i + 1]) is not None:
-                raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
-        return Tower(rows)
+        try:
+            return Tower([range(n), *middle] + ([[0] * n] if k >= 1 else []))
+        except NestingError as e:
+            i = e.level
+            raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
 
     mats = [np.eye(n, dtype=bool)]
     for level in middle:

@@ -18,6 +18,7 @@ within shift s moves one to the other).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -303,25 +304,19 @@ def is_homogeneous(
     if spectral:
         # the regrouped tower is uniform; its translations act on the tower
         cm = coordinatize(regroup(tower, bounds))
-        for x in range(min(tower.n, 6)):
-            for y in range(x + 1, min(tower.n, 6)):
-                translations[(x, y)] = MultiMap(tower, tower, _transposition(cm, x, y))
-    oracle = None
+        for x, y in itertools.combinations(range(min(tower.n, 6)), 2):
+            translations[(x, y)] = MultiMap(tower, tower, _transposition(cm, x, y))
+    oracle = failing = None
     skipped = tower.n > oracle_cap
-    failing = None
     witnesses: dict = {}
     if not skipped:
         oracle = True
-        for x in range(tower.n):
-            for y in range(x + 1, tower.n):
-                phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
-                if phi is None:
-                    oracle = False
-                    failing = (x, y)
-                    break
-                witnesses[(x, y)] = phi
-            if not oracle:
+        for x, y in itertools.combinations(range(tower.n), 2):
+            phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
+            if phi is None:
+                oracle, failing = False, (x, y)
                 break
+            witnesses[(x, y)] = phi
     return HomogeneityReport(
         shift, spectral, bounds, bound, oracle, skipped, failing, witnesses, translations
     )

@@ -235,15 +235,8 @@ def cmd_equiv(args, out, err):
         if phi is None:
             raise DomainFailure(f"no coarse equivalence within shift {shift}")
         rep = check_equivalence(phi)
-        out.write(
-            format_multimap(
-                phi,
-                shifts=(
-                    ShiftFn.constant(rep.s, X.k, Y.k),
-                    ShiftFn.constant(rep.t, Y.k, X.k),
-                ),
-            )
-        )
+        shifts = (ShiftFn.constant(rep.s, X.k, Y.k), ShiftFn.constant(rep.t, Y.k, X.k))
+        out.write(format_multimap(phi, shifts=shifts))
         print(f"verified: pass s={rep.s} t={rep.t}", file=err)
         return 0
     cert = build_equivalence(X, Y, max_shift=args.max_shift)

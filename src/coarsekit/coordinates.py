@@ -14,17 +14,18 @@ a.  The recursion terminates because d(c_a(y), y) <= a < d(x, y).
 
 Each step makes one recursive call, so the recursion runs as the loop
 x <- c_a(y) while d(x, y) > 0, the same steps in the same order at any
-depth.  The closed "truncation law" (coordinate alpha equals n_alpha(y)
-below d(x, y) and 0 from there up) is kept separate as a verification
-oracle, never as the construction.  The `coordmap v1` format is read on
-the line grammar of textio.
+depth.  The next distance is read off the c table: x = c_a(y) is the least
+element of y's level-j class exactly for j from d(x, y) up to a.  The
+closed "truncation law" (coordinate alpha equals n_alpha(y) below d(x, y)
+and 0 from there up) is kept separate as a verification oracle, never as
+the construction.  The `coordmap v1` format is read on the line grammar
+of textio.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,13 +43,16 @@ def _resolve_order(tower: Tower, order: Optional[Sequence[int]]) -> tuple:
 
 
 def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
-    """Representative and numbering tables.
+    """Representative and numbering tables, cached on the tower per order
+    because one tower is coordinatized against many bases and partners.
 
     Returns (c, nums): c[alpha][y] is the order-least element of y's
     level-alpha class for alpha in 0..k, and nums[alpha][y] numbers the
     level-alpha classes inside y's level-(alpha+1) class for alpha in
     0..k-1, the block minimum's class getting 0 and the rest following by
-    ascending class minimum.  Tables are cached on the tower per order.
+    ascending class minimum.  One walk over the points in order per level
+    gives both: it meets each class first at its least point, and the
+    classes of one block in ascending order of those.
     """
     if not isinstance(tower, Tower):
         raise TypeError("numbering needs a cellular tower")
@@ -56,23 +60,21 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
     cached = tower._numbering_cache.get(order)
     if cached is not None:
         return cached
-    rank = [0] * tower.n
-    for i, p in enumerate(order):
-        rank[p] = i
     c, nums = [], []
     for alpha, row in enumerate(tower.labels):
-        mins = [min(members, key=rank.__getitem__) for members in tower.classes(alpha)]
-        c.append(tuple(mins[v] for v in row))
-        if alpha == tower.k:
-            break
-        # the block minimum's class holds the least minimum of its block, so
-        # counting the classes of each block by ascending minimum gives it 0
-        up = tower.labels[alpha + 1]
-        count = defaultdict(itertools.count)
-        number = [0] * len(mins)
-        for cid in sorted(range(len(mins)), key=lambda cid: rank[mins[cid]]):
-            number[cid] = next(count[up[mins[cid]]])
-        nums.append(tuple(number[v] for v in row))
+        up = tower.labels[min(alpha + 1, tower.k)]
+        least = [None] * (max(row) + 1)
+        number = [0] * len(least)
+        count = [0] * (max(up) + 1)
+        for p in order:
+            cid = row[p]
+            if least[cid] is None:
+                least[cid] = p
+                number[cid] = count[up[p]]
+                count[up[p]] += 1
+        c.append(tuple(map(least.__getitem__, row)))
+        if alpha < tower.k:
+            nums.append(tuple(map(number.__getitem__, row)))
     got = (tuple(c), tuple(nums))
     tower._numbering_cache[order] = got
     return got
@@ -86,7 +88,6 @@ class CoordMap:
     tower: Tower
     base: int
     order: tuple
-    c: tuple             # c[alpha][y], alpha in 0..k
     nums: tuple          # nums[alpha][y], alpha in 0..k-1
     codes: tuple         # codes[y] is a tuple of k coordinates
     kappa_lo: tuple
@@ -111,22 +112,26 @@ def coordinatize(
     if not 0 <= base < tower.n:
         raise IndexError("basepoint out of range")
     c, nums = numbering(tower, order)
-    d = tower.dist
     k = tower.k
 
     # each step for y descends to a strictly lower level and makes the one
-    # recursive call as the next turn of the loop
-    def code_rel(x: int, y: int) -> tuple:
+    # recursive call as the next turn of the loop; d(x, y) is the lowest j
+    # of the run of levels from a down where c[j][y] is still x
+    def code_rel(y: int) -> tuple:
         vec = [0] * k
-        while (dist := d(x, y)) > 0:
+        dist = tower.dist(base, y)
+        while dist > 0:
             a = dist - 1
             vec[a] += nums[a][y]
             x = c[a][y]
+            dist = a
+            while dist > 0 and c[dist - 1][y] == x:
+                dist -= 1
         return tuple(vec)
 
-    codes = tuple(code_rel(base, y) for y in range(tower.n))
+    codes = tuple(map(code_rel, range(tower.n)))
     spec = spectrum(tower)
-    return CoordMap(tower, base, order, c, nums, codes, spec.lo, spec.hi)
+    return CoordMap(tower, base, order, nums, codes, spec.lo, spec.hi)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class CoordReport:
 def _clash(fine, coarse) -> Optional[tuple]:
     """A pair (x, y), x < y, in one class of the partition fine but not of
     coarse, both given as class ids per point; None when fine refines coarse."""
-    y = _split_point(fine, coarse)
+    y = _split_point(fine, coarse, [None] * (max(fine) + 1))
     return None if y is None else (fine.index(fine[y]), y)
 
 

@@ -27,6 +27,7 @@ from coarsekit.balleans import (
     subspace,
     validate,
 )
+from coarsekit.classify import parse_certificate, regroup
 from families import exhaustive_towers
 
 
@@ -216,9 +217,23 @@ def reference_spectrum(t):
 
 
 def test_spectrum_matches_class_count_reference():
+    """Every constructor path counts the spectrum in its nesting pass:
+    direct rows, regroup, subspace, cellular_hull, from_partitions and the
+    cells: and pairs: parsers."""
     rng = random.Random(9)
     towers = [*exhaustive_towers(6, 3), *(random_tower(rng, 40, 6) for _ in range(200))]
     assert any(not spectrum(t).uniform for t in towers[-200:])
+    for t in towers[-200:-150]:
+        inner = sorted(rng.sample(range(1, t.k), rng.randint(0, t.k - 1))) if t.k > 1 else []
+        towers.append(regroup(t, [0, *inner, t.k]) if t.k else t)
+        towers.append(subspace(t, rng.sample(range(t.n), rng.randint(1, t.n))))
+        towers.append(cellular_hull(EntourageChain(t.levels())))
+        parts = [[[p for p in range(t.n) if row[p] == c] for c in range(max(row) + 1)]
+                 for row in t.labels[1:-1]]
+        towers.append(Tower.from_partitions(t.n, parts))
+        towers.append(parse_ballean(format_ballean(t)))
+        towers.append(parse_ballean(as_pairs(format_ballean(t))))
+    assert all(isinstance(t, Tower) for t in towers)
     for t in towers:
         lo, hi = reference_spectrum(t)
         s = spectrum(t)
@@ -470,13 +485,22 @@ def test_empty_cells_keep_their_ids_out_of_the_classes(tmp_path):
 
 
 def test_non_nested_cells_report_the_coarser_line():
+    """The tower's own nesting check names the level; the parser maps it to
+    the coarser level's line of the whole file, inside a certificate too."""
+    cert = (
+        "certificate v1\ntower X\nballean v1\npoints 4\nlevels 1\ntower Y\n"
+        + NON_NESTED_CELLS[0]
+        + "multimap v1\npair 0 0\nshift-fwd: 0 1\nshift-bwd: 0 1 2 3 4\nverified: pass s=0 t=0\n"
+    )
     for text, msg, line in zip(
-        NON_NESTED_CELLS,
-        ["level 1 is not contained in level 2"] + ["level 2 is not contained in level 3"] * 2,
-        [5, 6, 4],
+        [*NON_NESTED_CELLS, cert],
+        ["level 1 is not contained in level 2"] + ["level 2 is not contained in level 3"] * 2
+        + ["level 1 is not contained in level 2"],
+        [5, 6, 4, 11],
     ):
+        parse = parse_certificate if text is cert else parse_ballean
         with pytest.raises(FormatError) as ei:
-            parse_ballean(text)
+            parse(text)
         assert str(ei.value) == f"line {line}: {msg}"
 
 

@@ -303,3 +303,55 @@ def test_coordinatize_deeper_than_the_interpreter_stack():
     cm = coordinatize(t)
     assert cm.codes[0] == (0,) * t.k
     assert verify_coordinatization(cm).ok
+
+
+def reference_numbering(tower, order):
+    """The tables as first written: a rank table, the classes as lists, each
+    class's least point by min(key=) and its block number by a sort."""
+    rank = [0] * tower.n
+    for i, p in enumerate(order):
+        rank[p] = i
+    c, nums = [], []
+    for alpha, row in enumerate(tower.labels):
+        mins = [min(members, key=rank.__getitem__) for members in tower.classes(alpha)]
+        c.append(tuple(mins[v] for v in row))
+        if alpha == tower.k:
+            break
+        up = tower.labels[alpha + 1]
+        count = {}
+        number = [0] * len(mins)
+        for cid in sorted(range(len(mins)), key=lambda cid: rank[mins[cid]]):
+            number[cid] = count.setdefault(up[mins[cid]], 0)
+            count[up[mins[cid]]] += 1
+        nums.append(tuple(number[v] for v in row))
+    return tuple(c), tuple(nums)
+
+
+def reference_code(tower, c, nums, x, y):
+    """The recursion as the literal loop, each distance by Tower.dist."""
+    vec = [0] * tower.k
+    while (dist := tower.dist(x, y)) > 0:
+        a = dist - 1
+        vec[a] += nums[a][y]
+        x = c[a][y]
+    return tuple(vec)
+
+
+def test_numbering_and_codes_match_the_reference_loop():
+    from families import random_tower as family_tower
+
+    rng = random.Random(47)
+    numberings = coordmaps = 0
+    for _ in range(200):
+        t = family_tower(rng, 16, 10)
+        shuffled = list(range(t.n))
+        rng.shuffle(shuffled)
+        for order in (tuple(range(t.n)), tuple(shuffled)):
+            c, nums = reference_numbering(t, order)
+            assert numbering(t, order) == (c, nums), (t.labels, order)
+            numberings += 1
+            for base in range(t.n):
+                want = tuple(reference_code(t, c, nums, base, y) for y in range(t.n))
+                assert coordinatize(t, base=base, order=order).codes == want, (t.labels, order, base)
+                coordmaps += 1
+    assert numberings == 400 and coordmaps > 3000

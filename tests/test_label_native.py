@@ -72,3 +72,28 @@ def test_is_large_on_towers_matches_the_dense_chain():
         t = random_tower(rng, max_n=16, max_levels=5)
         L = rng.sample(range(t.n), rng.randint(1, t.n))
         assert is_large(t, L) == is_large(EntourageChain(t.levels()), L), (t.labels, L)
+
+
+def test_parse_and_spectrum_take_one_nesting_pass_per_level(monkeypatch):
+    """Parsing a k-level cells: file checks each of its k level pairs once,
+    in the tower's constructor, and spectrum() only reads what that pass
+    counted."""
+    from coarsekit import balleans
+
+    texts = [
+        format_ballean(gen_product([2] * 5)),
+        "ballean v1\npoints 6\nlevels 3\nlevel 1 cells: 0 | 1 2 | 3 4 5\nlevel 2 cells: 0 1 2 | 3 4 5\n",
+    ]
+    calls = []
+    split_point = balleans._split_point
+
+    def counted(*args):
+        calls.append(args)
+        return split_point(*args)
+
+    monkeypatch.setattr(balleans, "_split_point", counted)
+    for text in texts:
+        calls.clear()
+        t = parse_ballean(text)
+        spectrum(t)
+        assert len(calls) == t.k
