@@ -16,6 +16,7 @@ BALLEAN_ENTRY_LIMIT entries is refused at its `points` line.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -32,7 +33,7 @@ EXACT_COVER_LIMIT = 24
 #: tower read or generated as labels, n * n * (k + 1) matrix cells once a
 #: level is a relation matrix.  parse_ballean, gen_product and gen_interval
 #: refuse more before allocating.  `coarsekit inspect` on the largest
-#: accepted files peaks at 270 MB RSS (2**21 points, 1 level) and 257 MB
+#: accepted files peaks at 270 MB RSS (2**21 points, 1 level) and 266 MB
 #: (2048 points, 2047 levels) on a 2-CPU x86 VM with Python 3.11.
 BALLEAN_ENTRY_LIMIT = 1 << 22
 
@@ -90,11 +91,13 @@ class EntourageChain:
 
 
 class Tower(EntourageChain):
-    """A cellular chain stored as a partition chain.
+    """A cellular chain stored as a partition chain and its class tree.
 
     labels[i][x] is the id of the level-i class containing x, with ids
     numbered by first occurrence.  Level 0 is the singleton partition and
-    the top level is one block; consecutive levels may coincide.
+    the top level is one block; consecutive levels may coincide.  The class
+    tree links them: parents[i][c], for i < k, is the level-(i+1) class
+    holding the level-i class c.
     """
 
     def __init__(self, labels: Sequence[Sequence[int]]):
@@ -114,7 +117,7 @@ class Tower(EntourageChain):
             raise ValueError("the top level must be a single block")
         # one pass per level pair: the coarse class of every fine class both
         # checks the nesting and, counted per coarse class, gives the spectrum
-        lo, hi = [], []
+        parents, lo, hi = [], [], []
         for i in range(len(labels) - 1):
             parent = [None] * (max(labels[i]) + 1)
             x = _split_point(labels[i], labels[i + 1], parent)
@@ -125,8 +128,10 @@ class Tower(EntourageChain):
                 held[p] += 1
             lo.append(min(held))
             hi.append(max(held))
+            parents.append(array("i", parent))
         self.n = n
         self.labels = labels
+        self.parents = tuple(parents)
         self._spectrum = Spectrum(tuple(lo), tuple(hi), lo == hi)
         self._numbering_cache: dict = {}
         self._regroup_cache: dict = {}

@@ -19,10 +19,9 @@ within shift s moves one to the other).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .balleans import Tower, format_ballean, read_ballean, spectrum
 from .coordinates import CoordMap, coordinatize
@@ -110,29 +109,29 @@ def uniformizing_regroup(tower: Tower, max_width: Optional[int] = None):
     A block (a, b] is uniform when every level-b class holds the same number
     of level-a classes, which depends on a and b alone.  So the answer is a
     longest path from boundary 0 to k through uniform blocks: a dynamic
-    program over the k + 1 boundaries, with O(k^2) block checks vectorized
-    over the points."""
+    program over the k + 1 boundaries.  Climbing the class tree from a, it
+    counts only the classes that hold several level-a classes: the merges."""
     k = tower.k
     width = k if max_width is None else int(max_width)
     if width >= 1 and spectrum(tower).uniform:
         return tuple(range(k + 1))
-    rows = [np.asarray(row) for row in tower.labels]
-
-    def uniform(a: int, b: int) -> bool:
-        # canonical labels number the classes from 0; parent[c] is the
-        # level-b class of the level-a class c
-        parent = np.empty(int(rows[a].max()) + 1, dtype=rows[b].dtype)
-        parent[rows[a]] = rows[b]
-        held = np.bincount(parent)
-        return held.min() == held.max()
-
+    # merges[j][q]: the level-j classes beyond one in the level-(j+1) class q
+    merges = [{q: h - 1 for q, h in Counter(row).items() if h > 1} for row in tower.parents]
     # paths[a]: the finest uniform boundaries from a to k; b rises and only a
     # longer path replaces the one kept, so the least next boundary wins ties
     paths: list = [None] * k + [(k,)]
     for a in range(k - 1, -1, -1):
+        extra: Counter = Counter()
         for b in range(a + 1, min(a + width, k) + 1):
-            if paths[b] is not None and len(paths[b]) >= len(paths[a] or ()) and uniform(a, b):
-                paths[a] = (a, *paths[b])
+            # extra[q]: the level-a classes beyond one in the level-b class q
+            up = Counter(merges[b - 1])
+            for c, e in extra.items():
+                up[tower.parents[b - 1][c]] += e
+            extra = up
+            if paths[b] is not None and len(paths[b]) >= len(paths[a] or ()):
+                classes = len(tower.parents[b]) if b < k else 1
+                if not extra or (len(extra) == classes and len(set(extra.values())) == 1):
+                    paths[a] = (a, *paths[b])
     return paths[0]
 
 

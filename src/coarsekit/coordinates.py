@@ -50,8 +50,8 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
     level-alpha class for alpha in 0..k, and nums[alpha][y] numbers the
     level-alpha classes inside y's level-(alpha+1) class for alpha in
     0..k-1, the block minimum's class getting 0 and the rest following by
-    ascending class minimum.  One walk over the points in order per level
-    gives both: it meets each class first at its least point, and the
+    ascending class minimum.  One walk over the points in order per parent
+    table gives both: it meets each class first at its least point, and the
     classes of one block in ascending order of those.
     """
     if not isinstance(tower, Tower):
@@ -61,20 +61,19 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
     if cached is not None:
         return cached
     c, nums = [], []
-    for alpha, row in enumerate(tower.labels):
-        up = tower.labels[min(alpha + 1, tower.k)]
-        least = [None] * (max(row) + 1)
-        number = [0] * len(least)
-        count = [0] * (max(up) + 1)
+    for row, parent in zip(tower.labels, tower.parents):
+        least = [None] * len(parent)
+        number = [0] * len(parent)
+        count = [0] * (max(parent) + 1)
         for p in order:
             cid = row[p]
             if least[cid] is None:
                 least[cid] = p
-                number[cid] = count[up[p]]
-                count[up[p]] += 1
+                number[cid] = count[parent[cid]]
+                count[parent[cid]] += 1
         c.append(tuple(map(least.__getitem__, row)))
-        if alpha < tower.k:
-            nums.append(tuple(map(number.__getitem__, row)))
+        nums.append(tuple(map(number.__getitem__, row)))
+    c.append((order[0],) * tower.n)
     got = (tuple(c), tuple(nums))
     tower._numbering_cache[order] = got
     return got

@@ -36,15 +36,15 @@ interval), and for each source point x its shells (the points at exactly
 level a from x) spread at stride m.  A shell times a fit mask puts one
 copy of the m-bit fit in the block of each point of the shell, with no
 carries, and compat of (x, y) is the sum over a of these products.  A
-tower's balls come from its label rows, so no n*n or (n*m)^2 matrix is
+tower's balls come from its class tree, so no n*n or (n*m)^2 matrix is
 built for towers.  Viability is tested bit-parallel on the blocks of m
 pair ids: one carry test finds every source whose block has no allowed
 pair, and one OR-fold of the blocks finds every target with none.  The
 depth-first search keeps its frames on an explicit stack, n + m deep at
 most, and the contexts of the last few tower pairs are kept for reuse.
 
-Coarseness checks between two towers work on the label rows through the
-target's level ultrametric and build no matrices; any other pair of chains
+Coarseness checks between two towers climb the source's class tree through
+the target's level ultrametric and build no matrices; any other pair of chains
 goes through the dense oscillation matrices, which stay the reference.
 The `multimap v1` format is read on the line grammar of textio.
 """
@@ -229,7 +229,7 @@ class _DenseFit:
 
 
 class _TowerFit:
-    """Oscillations of a map between towers, from the label rows alone.
+    """Oscillations of a map between towers, up the source's class tree.
 
     The level-alpha oscillation is the union of phi(C) x phi(C) over the
     level-alpha classes C, so it lies in target level j exactly when the
@@ -237,9 +237,9 @@ class _TowerFit:
     one C is the diameter of phi(C) in the target's level ultrametric, and
     in an ultrametric the diameter of a union is the largest of the parts'
     diameters and the distances from one part's point to a point of each
-    other part.  So the diameters climb the source levels class by class,
-    each class keeping one image point as its representative.  reach[alpha]
-    is the largest such diameter at level alpha.
+    other part.  So the diameters climb the source's class tree, each class
+    keeping one image point as its representative.  reach[alpha] is the
+    largest such diameter at level alpha.
     """
 
     def __init__(self, phi: MultiMap):
@@ -258,27 +258,20 @@ class _TowerFit:
                 if d > diam[x]:
                     diam[x] = d
         self.reach = [max(diam)]
-        for alpha in range(1, X.num_levels):
-            down, up = X.labels[alpha - 1], X.labels[alpha]
-            if up != down:
-                parent = [0] * len(rep)
-                for c, p in zip(down, up):
-                    parent[c] = p
-                up_rep = [None] * (max(up) + 1)
-                up_diam = [0] * len(up_rep)
-                for c, r in enumerate(rep):
-                    if r is None:
-                        continue
-                    p = parent[c]
-                    d = diam[c]
-                    q = up_rep[p]
-                    if q is None:
-                        up_rep[p] = r
-                    else:
-                        d = max(d, dist(q, r))
-                    if d > up_diam[p]:
-                        up_diam[p] = d
-                rep, diam = up_rep, up_diam
+        for parent in X.parents:
+            up_rep = [None] * (max(parent) + 1)
+            up_diam = [0] * len(up_rep)
+            for p, r, d in zip(parent, rep, diam):
+                if r is None:
+                    continue
+                q = up_rep[p]
+                if q is None:
+                    up_rep[p] = r
+                else:
+                    d = max(d, dist(q, r))
+                if d > up_diam[p]:
+                    up_diam[p] = d
+            rep, diam = up_rep, up_diam
             self.reach.append(max(diam))
 
     def fits(self, alpha: int, j: int) -> bool:
@@ -401,15 +394,18 @@ def _balls(chain: EntourageChain, stride: int) -> list:
     levels 0..j, as a bitmask with x' at bit x' * stride, for j = 0..k and
     for k + 1, the level of the pairs that no level of an invalid chain
     holds, where the ball is every point.  In a tower the ball is x's
-    level-j class; for any other chain it comes from the level rows."""
+    level-j class, ORed up the class tree; for any other chain it comes
+    from the level rows."""
     n = chain.n
     bits = [1 << (x * stride) for x in range(n)]
     balls = []
     if isinstance(chain, Tower):
-        for row in chain.labels:
-            masks = [0] * (max(row) + 1)
-            for bit, c in zip(bits, row):
-                masks[c] |= bit
+        masks = bits
+        balls.append(bits)
+        for parent, row in zip(chain.parents, chain.labels[1:]):
+            kids, masks = masks, [0] * (max(parent) + 1)
+            for mask, p in zip(kids, parent):
+                masks[p] |= mask
             balls.append([masks[c] for c in row])
     else:
         reach = np.zeros((n, n, stride), dtype=bool)
@@ -511,16 +507,16 @@ def search_equivalence(
     if s < 0:
         raise ValueError("max_shift must be non-negative")
     n, m = X.n, Y.n
+    # at shift 0 the bottom-level constraints force singleton images and
+    # preimages, i.e. a bijection, so unequal sizes settle it immediately
+    if s == 0 and n != m:
+        return None
     if n * m > PAIR_UNIVERSE_LIMIT:
         raise SearchCapExceeded(
             PAIR_UNIVERSE_LIMIT,
             f"equivalence search over {n}*{m} = {n * m} pairs exceeds the limit "
             f"of {PAIR_UNIVERSE_LIMIT} pairs",
         )
-    # at shift 0 the bottom-level constraints force singleton images and
-    # preimages, i.e. a bijection, so unequal sizes settle it immediately
-    if s == 0 and n != m:
-        return None
     cap = search_cap() if node_cap is None else int(node_cap)
     ctx = _context(X, Y, s)
     compat = ctx.compat

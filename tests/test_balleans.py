@@ -217,9 +217,9 @@ def reference_spectrum(t):
 
 
 def test_spectrum_matches_class_count_reference():
-    """Every constructor path counts the spectrum in its nesting pass:
-    direct rows, regroup, subspace, cellular_hull, from_partitions and the
-    cells: and pairs: parsers."""
+    """Every constructor path counts the spectrum and keeps the class tree
+    in its nesting pass: direct rows, regroup, subspace, cellular_hull,
+    from_partitions and the cells: and pairs: parsers."""
     rng = random.Random(9)
     towers = [*exhaustive_towers(6, 3), *(random_tower(rng, 40, 6) for _ in range(200))]
     assert any(not spectrum(t).uniform for t in towers[-200:])
@@ -238,6 +238,10 @@ def test_spectrum_matches_class_count_reference():
         lo, hi = reference_spectrum(t)
         s = spectrum(t)
         assert (s.lo, s.hi, s.uniform) == (lo, hi, lo == hi), t.labels
+        assert len(t.parents) == t.k
+        for a, parent in enumerate(t.parents):
+            assert len(parent) == len(set(t.labels[a]))
+            assert all(parent[t.labels[a][x]] == t.labels[a + 1][x] for x in range(t.n)), t.labels
 
 
 def test_tower_class_sizes_partition():

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from coarsekit.balleans import EntourageChain, Tower, gen_product, spectrum
@@ -21,6 +22,7 @@ from coarsekit.classify import (
 )
 from coarsekit.multimaps import (
     MultiMap,
+    SearchCapExceeded,
     ShiftFn,
     check_equivalence,
     compose,
@@ -28,7 +30,7 @@ from coarsekit.multimaps import (
     search_equivalence,
 )
 
-from families import exhaustive_towers, random_tower
+from families import deep_tower, exhaustive_towers, random_tower
 
 
 def three_point_tower():
@@ -144,6 +146,38 @@ def test_uniformizing_regroup_matches_exhaustive_search():
             )
 
 
+def block_test_regroup(tower, max_width=None):
+    """The reference: the same dynamic program over the boundaries, with
+    each block (a, b] checked on the label rows as one vectorized count."""
+    k = tower.k
+    width = k if max_width is None else max_width
+    rows = [np.asarray(row) for row in tower.labels]
+
+    def uniform(a, b):
+        parent = np.empty(int(rows[a].max()) + 1, dtype=rows[b].dtype)
+        parent[rows[a]] = rows[b]
+        held = np.bincount(parent)
+        return held.min() == held.max()
+
+    paths = [None] * k + [(k,)]
+    for a in range(k - 1, -1, -1):
+        for b in range(a + 1, min(a + width, k) + 1):
+            if paths[b] is not None and len(paths[b]) >= len(paths[a] or ()) and uniform(a, b):
+                paths[a] = (a, *paths[b])
+    return paths[0]
+
+
+def test_uniformizing_regroup_matches_block_test_reference():
+    rng = random.Random(1111)
+    towers = [random_tower(rng, max_n=60, max_levels=16) for _ in range(300)]
+    towers += [deep_tower(n) for n in (2, 3, 9, 30)]
+    for t in towers:
+        for width in (None, *range(t.k + 2)):
+            assert uniformizing_regroup(t, max_width=width) == block_test_regroup(t, width), (
+                t.labels, width,
+            )
+
+
 def test_uniformizing_regroup_deep_towers():
     assert uniformizing_regroup(gen_product([2] * 16)) == tuple(range(17))
     # level 1 splits one point off; every regrouping that keeps it is uneven
@@ -221,6 +255,53 @@ def test_build_equal_spectra_random_towers_zero_shift():
         cert = build_equivalence(base, relabeled)
         assert cert is not None and (cert.s, cert.t) == (0, 0)
         assert verify_certificate(cert).ok
+
+
+def ordered_factorizations(n):
+    """Every way to write n as an ordered product of factors >= 2."""
+    if n == 1:
+        return [()]
+    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in ordered_factorizations(n // f)]
+
+
+def test_certificate_shift_against_least_oracle_shift():
+    """On every ordered pair of distinct ordered factorizations of 4..16
+    points, the certificate's shift is never below the least shift the
+    oracle finds, trying the swapped orientation when one hits the node
+    cap.  Where it is above, the pair is pinned: the certificate has 2 and
+    the oracle 1."""
+    pairs = [
+        (a, b) for n in range(4, 17) for a in ordered_factorizations(n)
+        for b in ordered_factorizations(n) if a != b
+    ]
+    assert len(pairs) == 152
+    gaps = set()
+    for a, b in pairs:
+        X, Y = gen_product(a), gen_product(b)
+        cert = build_equivalence(X, Y)
+        top = max(cert.s, cert.t)
+        for s in range(top + 1):
+            found = None
+            for P, Q in ((X, Y), (Y, X)):
+                try:
+                    found = search_equivalence(P, Q, s, node_cap=200_000) is not None
+                    break
+                except SearchCapExceeded:
+                    continue
+            assert found is not None, (a, b, s)
+            if found:
+                break
+        assert found, (a, b)
+        if s < top:
+            gaps.add((a, b, top, s))
+    assert gaps == {
+        (a, b, 2, 1)
+        for a, b in [
+            ((2, 2, 3), (3, 2, 2)), ((2, 2, 3), (3, 4)), ((2, 3, 2), (4, 3)),
+            ((3, 2, 2), (2, 2, 3)), ((3, 2, 2), (4, 3)), ((3, 4), (2, 2, 3)),
+            ((4, 3), (2, 3, 2)), ((4, 3), (3, 2, 2)),
+        ]
+    }
 
 
 # --- homogeneity -----------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from coarsekit.balleans import format_ballean, gen_interval, gen_product, parse_ballean
+from coarsekit.balleans import Tower, format_ballean, gen_interval, gen_product, parse_ballean
 from coarsekit.classify import format_certificate, build_equivalence
 from coarsekit.cli import run
 from coarsekit.coordinates import parse_coordmap
@@ -282,6 +284,14 @@ def test_equiv_oracle_pair_limit_names_the_pairs(tmp_path):
     )
 
 
+def test_equiv_oracle_unequal_sizes_at_shift_0_exit_1(tmp_path):
+    x = write(tmp_path, "x.ballean", invoke(["gen", "product", "64,2"])[1])
+    y = write(tmp_path, "y.ballean", invoke(["gen", "product", "64"])[1])
+    code, out, err = invoke(["equiv", x, y, "--oracle", "--max-shift", "0"])
+    assert code == 1 and out == ""
+    assert err == "coarsekit: no coarse equivalence within shift 0\n"
+
+
 # --- homogeneous / large -------------------------------------------------------------
 
 def test_homogeneous_uniform(tmp_path):
@@ -407,3 +417,110 @@ def test_coordinatize_deep_tower(tmp_path):
     assert code == 0
     assert parse_coordmap(out)[0] == 0
     assert "FAIL" not in err and "injective: yes" in err
+
+
+# --- byte identity --------------------------------------------------------------
+#
+# One digest over the exit code, stdout and stderr of a fixed command list.
+# Refactors keep it; a change that alters any output on purpose records the
+# new digest and says why.
+
+CLI_DIGEST = "bfc1694c419725caf834123980202ca1219a35dbe56e028f7723eb33428160f8"
+
+
+def _relabelled(rows, seed):
+    perm = list(range(len(rows[0])))
+    random.Random(seed).shuffle(perm)
+    return Tower([[row[p] for p in perm] for row in rows])
+
+
+def _uneven_256():
+    """Pairs, then 16 blocks of 4 pairs beside 32 blocks of 2, then quarters."""
+    pairs = [x // 2 for x in range(256)]
+    blocks = [c // 4 if c < 64 else 16 + (c - 64) // 2 for c in pairs]
+    return [list(range(256)), pairs, blocks, [x // 64 for x in range(256)], [0] * 256]
+
+
+def _digest_commands(ask):
+    """Run the fixed command list through ask(argv), which returns
+    (code, out, err); certificates made on the way are verified too."""
+    for k in range(11):
+        ask(["gen", "cube", str(k)])
+    for sizes in ("2,3,4", "3,1,5", "64,2", "1"):
+        ask(["gen", "product", sizes])
+    ask(["gen", "interval", "6", "1,5"])
+    files = [
+        "x.ballean", "y.ballean", "z.ballean", "w.ballean", "eight.ballean",
+        "eight2.ballean", "twelve.ballean", "uneven.ballean", "dense.ballean",
+        "interval.ballean", "nonnested.ballean",
+    ]
+    for f in files:
+        ask(["inspect", f])
+    for argv in (
+        ["x.ballean"], ["y.ballean"], ["z.ballean"], ["y.ballean", "--base", "17"],
+        ["x.ballean", "--order", ",".join(map(str, range(255, -1, -1)))],
+        ["uneven.ballean", "--order", "5,4,3,2,1,0", "--base", "2"],
+        ["twelve.ballean", "--base", "11"], ["dense.ballean"], ["interval.ballean"],
+    ):
+        ask(["coordinatize", *argv])
+    for argv in (
+        ["x.ballean"], ["y.ballean"], ["twelve.ballean"], ["twelve.ballean", "--max-shift", "0"],
+        ["uneven.ballean"], ["uneven.ballean", "--max-shift", "0"],
+        ["eight.ballean", "--max-shift", "1"], ["dense.ballean"], ["interval.ballean"],
+    ):
+        ask(["homogeneous", *argv])
+    certs = []
+    for a, b, *more in (
+        ("x", "y"), ("y", "x"), ("x", "z"), ("z", "w"), ("y", "w"), ("eight", "eight2"),
+        ("eight2", "eight"), ("twelve", "twelve"), ("uneven", "dense"), ("x", "eight"),
+        ("x", "y", "--max-shift", "0"), ("y", "z", "--max-shift", "1"),
+    ):
+        code, out, _ = ask(["equiv", f"{a}.ballean", f"{b}.ballean", *more])
+        if code == 0:
+            certs.append(out)
+    for a, b, *more in (
+        ("eight", "eight2"), ("eight2", "eight", "--max-shift", "0"),
+        ("uneven", "uneven", "--max-shift", "0"), ("dense", "eight"), ("x", "y"),
+    ):
+        ask(["equiv", f"{a}.ballean", f"{b}.ballean", "--oracle", *more])
+    ask(["equiv", "interval.ballean", "interval.ballean"])
+    for i, cert in enumerate(certs):
+        with open(f"cert{i}.txt", "w") as fh:
+            fh.write(cert)
+        ask(["verify", f"cert{i}.txt"])
+        head, _, tail = cert.rpartition("verified: pass s=")
+        with open(f"raised{i}.txt", "w") as fh:
+            fh.write(head + "verified: pass s=" + str(int(tail.split()[0]) + 1) + tail[tail.index(" "):])
+        ask(["verify", f"raised{i}.txt"])
+
+
+def test_cli_outputs_match_recorded_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    towers = {
+        "x": _relabelled(gen_product([4, 4, 4, 4]).labels, 1),
+        "y": _relabelled(_uneven_256(), 2),
+        "z": _relabelled(gen_product([2, 8, 16]).labels, 3),
+        "w": _relabelled(gen_product([2] * 8).labels, 4),
+        "eight": _relabelled(gen_product([2, 2, 2]).labels, 5),
+        "eight2": _relabelled(gen_product([4, 2]).labels, 6),
+        "twelve": gen_product([2, 3, 2]),
+    }
+    for name, t in towers.items():
+        (tmp_path / f"{name}.ballean").write_text(format_ballean(t))
+    (tmp_path / "uneven.ballean").write_text(
+        "ballean v1\npoints 6\nlevels 3\nlevel 1 cells: 0 | 1 2 | 3 4 5\nlevel 2 cells: 0 1 2 | 3 4 5\n"
+    )
+    (tmp_path / "dense.ballean").write_text("ballean v1\npoints 4\nlevels 2\nlevel 1 pairs: (0,1) (2,3)\n")
+    (tmp_path / "interval.ballean").write_text(format_ballean(gen_interval(6, [1, 5])))
+    (tmp_path / "nonnested.ballean").write_text(
+        "ballean v1\npoints 4\nlevels 3\nlevel 1 cells: 0 1 | 2 3\nlevel 2 cells: 0 2 | 1 3\n"
+    )
+    h = hashlib.sha256()
+
+    def ask(argv):
+        got = invoke(argv)
+        h.update(repr((argv, *got)).encode())
+        return got
+
+    _digest_commands(ask)
+    assert h.hexdigest() == CLI_DIGEST

@@ -261,6 +261,8 @@ def test_min_shift_examples():
 
 def test_search_respects_unequal_sizes_at_zero():
     assert search_equivalence(gen_product([2, 2]), gen_product([3, 3]), 0) is None
+    # unequal sizes settle shift 0 before the pair universe is counted
+    assert search_equivalence(gen_product([64, 2]), gen_product([64]), 0) is None
 
 
 def test_search_finds_depth2_shift1_equivalence():
