@@ -31,6 +31,7 @@ from .multimaps import (
     ShiftFn,
     check_equivalence,
     format_multimap,
+    inverse,
     search_equivalence,
 )
 from .textio import FormatError, Lines, is_natural
@@ -271,6 +272,12 @@ class HomogeneityReport:
     self-equivalence within the shift (None when skipped by the size cap);
     witnesses/failing_pair carry the evidence.  homogeneous repeats the
     spectral verdict, which is the headline criterion.
+
+    witnesses are shared: the oracle searches only pairs no earlier witness
+    moves, and keys each witness under every (a, b) it holds with a < b and
+    its inverse under every (b, a) it holds with a > b, so some values are
+    inverses.  After "yes" every pair is a key; after "no" the keys are the
+    pairs moved by the witnesses found before failing_pair.
     """
 
     shift: int
@@ -310,12 +317,19 @@ def is_homogeneous(
     witnesses: dict = {}
     if not skipped:
         oracle = True
+        # a pair that a witness or its inverse (also a witness at constant
+        # shift) moves would pass its search, so the first failing pair stays
         for x, y in itertools.combinations(range(tower.n), 2):
+            if (x, y) in witnesses:
+                continue
             phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
             if phi is None:
                 oracle, failing = False, (x, y)
                 break
-            witnesses[(x, y)] = phi
+            witnesses.update({p: phi for p in phi.pairs if p[0] < p[1] and p not in witnesses})
+            back = [(b, a) for a, b in phi.pairs if a > b and (b, a) not in witnesses]
+            if back:
+                witnesses.update(dict.fromkeys(back, inverse(phi)))
     return HomogeneityReport(
         shift, spectral, bounds, bound, oracle, skipped, failing, witnesses, translations
     )

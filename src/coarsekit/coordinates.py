@@ -56,10 +56,15 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
     """
     if not isinstance(tower, Tower):
         raise TypeError("numbering needs a cellular tower")
-    order = _resolve_order(tower, order)
-    cached = tower._numbering_cache.get(order)
-    if cached is not None:
-        return cached
+    return _numbered(tower, _resolve_order(tower, order))[0]
+
+
+def _numbered(tower: Tower, order: tuple) -> list:
+    """numbering's cache entry for a resolved order: [(c, nums), codes],
+    codes against the order-least point once coordinatize made them."""
+    entry = tower._numbering_cache.get(order)
+    if entry is not None:
+        return entry
     c, nums = [], []
     for row, parent in zip(tower.labels, tower.parents):
         least = [None] * len(parent)
@@ -74,9 +79,9 @@ def numbering(tower: Tower, order: Optional[Sequence[int]] = None):
         c.append(tuple(map(least.__getitem__, row)))
         nums.append(tuple(map(number.__getitem__, row)))
     c.append((order[0],) * tower.n)
-    got = (tuple(c), tuple(nums))
-    tower._numbering_cache[order] = got
-    return got
+    entry = [(tuple(c), tuple(nums)), None]
+    tower._numbering_cache[order] = entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,9 @@ def coordinatize(
     tower: Tower, base: Optional[int] = None, order: Optional[Sequence[int]] = None
 ) -> CoordMap:
     """Run the recursion for every point against the given basepoint
-    (default: the order-least point, which makes the code injective)."""
+    (default: the order-least point, which makes the code injective).
+    The codes against the order-least point are kept in numbering's cache
+    entry, since certificates coordinatize one tower for many partners."""
     if not isinstance(tower, Tower):
         raise TypeError("coordinatize needs a cellular tower")
     order = _resolve_order(tower, order)
@@ -110,7 +117,11 @@ def coordinatize(
     base = int(base)
     if not 0 <= base < tower.n:
         raise IndexError("basepoint out of range")
-    c, nums = numbering(tower, order)
+    entry = _numbered(tower, order)
+    (c, nums), codes = entry
+    spec = spectrum(tower)
+    if base == order[0] and codes is not None:
+        return CoordMap(tower, base, order, nums, codes, spec.lo, spec.hi)
     k = tower.k
 
     # each step for y descends to a strictly lower level and makes the one
@@ -129,7 +140,8 @@ def coordinatize(
         return tuple(vec)
 
     codes = tuple(map(code_rel, range(tower.n)))
-    spec = spectrum(tower)
+    if base == order[0]:
+        entry[1] = codes
     return CoordMap(tower, base, order, nums, codes, spec.lo, spec.hi)
 
 

@@ -24,7 +24,8 @@ graph(f) union graph(g)^-1 for single-valued selections f, g (a subset of
 an equivalence keeps totality and surjectivity witnesses by construction
 and only shrinks oscillations), and the backtracking enumerates exactly
 those.  The search does not recheck its witness; callers that need it
-checked run check_equivalence on it.
+checked run check_equivalence on it.  Its pair ids decode into range, so
+the witness, like inverse(phi), is built by MultiMap._trusted, unchecked.
 
 The search runs on a context of bitmasks over the pair ids x*m + y: for
 each pair the set of pairs it may share a relation with.  Whether two
@@ -99,6 +100,13 @@ class MultiMap:
         self.pairs = pairs
         self._matrix = None
 
+    @classmethod
+    def _trusted(cls, source: EntourageChain, target: EntourageChain, pairs: frozenset):
+        """A map over pairs already known to lie in range: no check."""
+        phi = cls.__new__(cls)
+        phi.source, phi.target, phi.pairs, phi._matrix = source, target, pairs, None
+        return phi
+
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             m = np.zeros((self.source.n, self.target.n), dtype=bool)
@@ -135,7 +143,7 @@ def identity_map(chain: EntourageChain) -> MultiMap:
 
 
 def inverse(phi: MultiMap) -> MultiMap:
-    return MultiMap(phi.target, phi.source, ((y, x) for x, y in phi.pairs))
+    return MultiMap._trusted(phi.target, phi.source, frozenset((y, x) for x, y in phi.pairs))
 
 
 def compose(psi: MultiMap, phi: MultiMap) -> MultiMap:
@@ -595,7 +603,7 @@ def search_equivalence(
                 stack.append(frame(allowed, cov_x, cov_y))
         else:
             return None
-    return MultiMap(X, Y, (divmod(p, m) for p in chosen))
+    return MultiMap._trusted(X, Y, frozenset(divmod(p, m) for p in chosen))
 
 
 def min_shift(X: EntourageChain, Y: EntourageChain, cap: int) -> Optional[int]:

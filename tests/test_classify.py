@@ -341,6 +341,45 @@ def test_homogeneity_oracle_cap():
     assert rep.oracle is None and rep.oracle_skipped
 
 
+def per_pair_oracle(tower, shift):
+    """The oracle as one search per unordered pair, the reference for
+    is_homogeneous: (oracle, failing_pair, witnesses)."""
+    witnesses = {}
+    for x, y in itertools.combinations(range(tower.n), 2):
+        phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
+        if phi is None:
+            return False, (x, y), witnesses
+        witnesses[(x, y)] = phi
+    return True, None, witnesses
+
+
+def test_shared_witnesses_match_the_per_pair_oracle(searched_pairs):
+    rng = random.Random(12)
+    towers = [*exhaustive_towers(6, 2), *(random_tower(rng, 9, 4) for _ in range(60))]
+    for t in towers:
+        for s in range(3):
+            oracle, failing, ref = per_pair_oracle(t, s)
+            searched_pairs.clear()
+            rep = is_homogeneous(t, s)
+            assert (rep.oracle, rep.failing_pair) == (oracle, failing), (t.labels, s)
+            assert set(searched_pairs) <= {*ref, failing}
+            if oracle:
+                assert rep.witnesses.keys() == ref.keys()
+            else:
+                assert set(ref) <= set(rep.witnesses) and failing not in rep.witnesses
+            table = ShiftFn.constant(s, t.k, t.k)
+            checked = set()
+            for key, phi in rep.witnesses.items():
+                assert key[0] < key[1] and key in phi.pairs, (t.labels, s, key)
+                if id(phi) not in checked:
+                    checked.add(id(phi))
+                    assert check_equivalence(phi, table, table).passed, (t.labels, s, key)
+    # a witness of the 16-point cube moves many pairs at once
+    searched_pairs.clear()
+    rep = is_homogeneous(gen_product([2, 2, 2, 2]), 0)
+    assert rep.oracle is True and len(searched_pairs) < len(rep.witnesses) == 120
+
+
 def test_point_transitive_maps():
     t = gen_product([2, 2])
     assert point_transitive_map(t, 1, 1).pairs == frozenset((z, z) for z in range(4))

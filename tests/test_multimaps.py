@@ -474,12 +474,12 @@ def test_search_context_cache_is_bounded():
     assert info.currsize == multimaps.CONTEXT_CACHE_SIZE and info.misses == searches
 
 
-def test_homogeneity_builds_one_search_context():
+def test_homogeneity_builds_one_search_context(searched_pairs):
     multimaps._context_cache.cache_clear()
     rep = is_homogeneous(gen_product([2, 3, 2]), max_shift=0)
     assert rep.oracle is True
     info = multimaps._context_cache.cache_info()
-    assert info.misses == 1 and info.hits == len(rep.witnesses) - 1
+    assert info.misses == 1 and info.hits == len(searched_pairs) - 1
 
 
 # --- large-subset witnesses -----------------------------------------------------
