@@ -18,8 +18,13 @@ Shift bookkeeping, fixed here once:
   bottom level is never exempt, which keeps 0-shift equivalences exactly
   the level-respecting bijections.
 
-The oracle search_equivalence is exhaustive: if any equivalence with
-constant shifts <= s exists, one exists of the form
+Between two towers, where the top exemption frees every level from
+min(kX, kY) up, a 0-shift equivalence is an isomorphism of the class trees
+cut there.  search_equivalence decides it from canonical codes of the cut
+trees (Aho, Hopcroft and Ullman, 1974) in O(n*k), with no node budget and
+no pair limit, and returns the search's own first witness.  At shift >= 1
+or on chains that are not cellular it searches, exhaustively: if any
+equivalence with constant shifts <= s exists, one exists of the form
 graph(f) union graph(g)^-1 for single-valued selections f, g (a subset of
 an equivalence keeps totality and surjectivity witnesses by construction
 and only shrinks oscillations), and the backtracking enumerates exactly
@@ -42,7 +47,9 @@ built for towers.  Viability is tested bit-parallel on the blocks of m
 pair ids: one carry test finds every source whose block has no allowed
 pair, and one OR-fold of the blocks finds every target with none.  The
 depth-first search keeps its frames on an explicit stack, n + m deep at
-most, and the contexts of the last few tower pairs are kept for reuse.
+most.  The 4096-pair limit and the node budget (COARSEKIT_SEARCH_CAP)
+bound this search only.  The contexts of the last few tower pairs, tree
+codes at shift 0 and bitmasks above it, are kept for reuse.
 
 Coarseness checks between two towers climb the source's class tree through
 the target's level ultrametric and build no matrices; any other pair of chains
@@ -481,16 +488,95 @@ def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchConte
     )
 
 
-#: tower contexts kept for reuse, least recently used dropped first
+class _TreeCodes:
+    """The shift-0 tables of a tower pair, whose class trees are cut at
+    level c = max(min(kX, kY), 1): rows[i] holds tower i's label rows 0..c-1
+    and a one-class row c.  A class below c gets the code of the sorted tuple
+    of its children's codes, interned in tables both towers share, so equal
+    codes at one level mean isomorphic subtrees; the towers are equivalent
+    when their level-(c-1) codes agree as multisets.  paths[i][a][x]
+    numbers the codes of x's classes at levels 0..a-1 the same way, and
+    groups[a] sends a level-a class of Y and a path to its points on it."""
+
+    def __init__(self, X: Tower, Y: Tower):
+        c = max(min(X.k, Y.k), 1)
+        self.X, self.Y, self.c = X, Y, c
+        self.rows = [T.labels[:c] + ((0,) * T.n,) for T in (X, Y)]
+        code_of: dict = {}
+        path_of: dict = {}
+        tops, self.paths = [], []
+        for T, rows in zip((X, Y), self.rows):
+            codes = path = [0] * T.n   # the points, all alike, and no path yet
+            paths = [path]
+            for a in range(c):
+                if a:
+                    kids = [[] for _ in range(max(T.parents[a - 1]) + 1)]
+                    for code, parent in zip(codes, T.parents[a - 1]):
+                        kids[parent].append(code)
+                    codes = [code_of.setdefault(tuple(sorted(kin)), len(code_of)) for kin in kids]
+                path = [path_of.setdefault((p, codes[q]), len(path_of))
+                        for p, q in zip(path, rows[a])]
+                paths.append(path)
+            tops.append(sorted(codes))
+            self.paths.append(paths)
+        self.equivalent = tops[0] == tops[1]
+        self.groups = [{} for _ in range(c + 1)]
+        for a in range(1, c + 1):
+            for y, key in enumerate(zip(self.rows[1][a], self.paths[1][a])):
+                self.groups[a].setdefault(key, []).append(y)
+
+    def witness(self, require_pair: Optional[tuple]) -> Optional[MultiMap]:
+        """The least bijection, by the images of 0, 1, ... in turn, that
+        matches the level partitions 0..c-1 and holds require_pair.
+
+        Each point x gets the least y on its path that lies in the image of
+        x's lowest mapped class and whose class one level below is unused:
+        exactly the choices that extend to an isomorphism of the cut trees.
+        Used classes stay used, so each group's head only moves forward and
+        the pass is O(n*c)."""
+        if not self.equivalent:
+            return None
+        c = self.c
+        lx, ly = self.rows
+        xpaths, ypaths = self.paths
+        image = [{} for _ in range(c)] + [{0: 0}]
+        used = [set() for _ in range(c)]
+        heads: dict = {}
+
+        def take(x, y, a):
+            for b in range(a):
+                image[b][lx[b][x]] = ly[b][y]
+                used[b].add(ly[b][y])
+
+        if require_pair is not None:
+            rx, ry = require_pair
+            if xpaths[c][rx] != ypaths[c][ry]:
+                return None
+            take(rx, ry, c)
+        for x in range(self.X.n):
+            if x in image[0]:
+                continue
+            a = 1
+            while lx[a][x] not in image[a]:
+                a += 1
+            key = (image[a][lx[a][x]], xpaths[a][x])
+            cands, i = self.groups[a][key], heads.get((a, key), 0)
+            while ly[a - 1][cands[i]] in used[a - 1]:
+                i += 1
+            heads[(a, key)] = i
+            take(x, cands[i], a)
+        return MultiMap._trusted(self.X, self.Y, frozenset(image[0].items()))
+
+
+def _tower_context(X: Tower, Y: Tower, s: int):
+    return _TreeCodes(X, Y) if s == 0 else _build_context(X, Y, s)
+
+
+#: tower contexts kept for reuse, least recently used dropped first: tree
+#: codes at shift 0, bitset contexts above it
 CONTEXT_CACHE_SIZE = 8
 
-_context_cache = functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)(_build_context)
-
-
-def _context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchContext:
-    if isinstance(X, Tower) and isinstance(Y, Tower):
-        return _context_cache(X, Y, s)
-    return _build_context(X, Y, s)
+_context_cache = functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)(_tower_context)
 
 
 def search_equivalence(
@@ -501,19 +587,38 @@ def search_equivalence(
     require_pair: Optional[tuple] = None,
     node_cap: Optional[int] = None,
 ) -> Optional[MultiMap]:
-    """Exhaustively search for a coarse equivalence with constant shifts
-    <= max_shift in both directions; None is a proof none exists.
+    """Decide whether a coarse equivalence with constant shifts <=
+    max_shift in both directions exists; None is a proof none exists.
 
-    The search runs over selection pairs (see module docstring), choosing
-    an image for each source point in order and then a preimage for each
-    still-uncovered target point, backtracking on the pairwise shift
-    constraints.  The first witness in this order is returned, so results
-    are deterministic.  require_pair forces a given (x, y) into the
-    relation, which is what the homogeneity oracle needs.
+    At shift 0 between two towers the answer and the witness are read off
+    the class trees (see _TreeCodes) in O(n*k), with no node budget and no
+    pair limit.  Otherwise the search runs over selection pairs (see module
+    docstring), choosing an image for each source point in order and then
+    a preimage for each still-uncovered target point, backtracking on the
+    pairwise shift constraints.  The first witness in this order is
+    returned, so results are deterministic; the tree path returns that
+    same witness.  require_pair forces a given (x, y) into the relation,
+    which is what the homogeneity oracle needs.
     """
     s = int(max_shift)
     if s < 0:
         raise ValueError("max_shift must be non-negative")
+    if require_pair is not None:
+        rx, ry = require_pair
+        if not (0 <= rx < X.n and 0 <= ry < Y.n):
+            raise ValueError("require_pair out of range")
+    # read even where no search runs, so a malformed budget is always refused
+    cap = search_cap() if node_cap is None else int(node_cap)
+    if s == 0 and isinstance(X, Tower) and isinstance(Y, Tower):
+        return _context_cache(X, Y, 0).witness(require_pair)
+    return _backtrack(X, Y, s, require_pair, cap)
+
+
+def _backtrack(
+    X: EntourageChain, Y: EntourageChain, s: int, require_pair: Optional[tuple], cap: int
+) -> Optional[MultiMap]:
+    """The exhaustive search of search_equivalence, on a valid require_pair.
+    Tests also run it between towers at shift 0, against the tree path."""
     n, m = X.n, Y.n
     # at shift 0 the bottom-level constraints force singleton images and
     # preimages, i.e. a bijection, so unequal sizes settle it immediately
@@ -525,8 +630,9 @@ def search_equivalence(
             f"equivalence search over {n}*{m} = {n * m} pairs exceeds the limit "
             f"of {PAIR_UNIVERSE_LIMIT} pairs",
         )
-    cap = search_cap() if node_cap is None else int(node_cap)
-    ctx = _context(X, Y, s)
+    # the cache holds tree codes for towers at shift 0
+    towers = isinstance(X, Tower) and isinstance(Y, Tower)
+    ctx = _context_cache(X, Y, s) if s and towers else _build_context(X, Y, s)
     compat = ctx.compat
     pairs_of_x = ctx.pairs_of_x
     pairs_of_y = ctx.pairs_of_y
@@ -565,8 +671,6 @@ def search_equivalence(
     cov_x0 = cov_y0 = 0
     if require_pair is not None:
         rx, ry = require_pair
-        if not (0 <= rx < n and 0 <= ry < m):
-            raise ValueError("require_pair out of range")
         p0 = rx * m + ry
         chosen = [p0]
         allowed0 &= compat[p0]

@@ -292,6 +292,23 @@ def test_equiv_oracle_unequal_sizes_at_shift_0_exit_1(tmp_path):
     assert err == "coarsekit: no coarse equivalence within shift 0\n"
 
 
+def test_equiv_oracle_at_shift_0_answers_past_the_pair_limit(tmp_path):
+    cube = gen_product([2] * 12)
+    perm = list(range(cube.n))
+    random.Random(12).shuffle(perm)
+    copy = Tower([[row[p] for p in perm] for row in cube.labels])
+    x = write(tmp_path, "x.ballean", format_ballean(cube))
+    y = write(tmp_path, "y.ballean", format_ballean(copy))
+    z = write(tmp_path, "z.ballean", format_ballean(gen_product([4] + [2] * 10)))
+    code, out, err = invoke(["equiv", x, y, "--oracle", "--max-shift", "0"])
+    assert code == 0 and err == "verified: pass s=0 t=0\n"
+    phi, _ = parse_multimap(out, cube, copy)
+    assert len(phi.pairs) == cube.n and phi.is_total() and phi.is_surjective()
+    code, out, err = invoke(["equiv", x, z, "--oracle", "--max-shift", "0"])
+    assert code == 1 and out == ""
+    assert err == "coarsekit: no coarse equivalence within shift 0\n"
+
+
 # --- homogeneous / large -------------------------------------------------------------
 
 def test_homogeneous_uniform(tmp_path):

@@ -31,7 +31,7 @@ from coarsekit.multimaps import (
     search_equivalence,
 )
 from coarsekit.classify import is_homogeneous
-from families import random_tower
+from families import exhaustive_towers, random_tower, uniform_towers
 
 
 def tuple_index_map(x_tower, y_tower):
@@ -393,6 +393,73 @@ def relabel(rng, chain):
     perm = list(range(chain.n))
     rng.shuffle(perm)
     return Tower([[row[p] for p in perm] for row in chain.labels])
+
+
+def test_shift_0_tree_codes_give_the_search_witness():
+    # between towers shift 0 is read off the class trees; the backtracking
+    # stays the reference, answer for answer and witness for witness
+    def agree(X, Y, pair=None):
+        fast = search_equivalence(X, Y, 0, require_pair=pair)
+        slow = multimaps._backtrack(X, Y, 0, pair, multimaps.DEFAULT_SEARCH_CAP)
+        assert (fast and sorted(fast.pairs)) == (slow and sorted(slow.pairs)), (
+            X.labels, Y.labels, pair,
+        )
+        return slow is not None
+
+    by_n: dict = {}
+    for t in exhaustive_towers(6, 3):
+        by_n.setdefault(t.n, []).append(t)
+    found = 0
+    for n in range(1, 5):
+        for X, Y in itertools.product(by_n[n], repeat=2):
+            found += agree(X, Y)
+            for pair in itertools.product(range(n), repeat=2):
+                agree(X, Y, pair)
+    assert found == 538
+    # larger towers: a relabelled copy of one of them or any other of its size
+    rng = random.Random(13)
+    found = 0
+    for _ in range(1500):
+        X = rng.choice(by_n[rng.choice((5, 6))])
+        Y = relabel(rng, X) if rng.random() < 0.5 else rng.choice(by_n[X.n])
+        found += agree(X, Y)
+        agree(X, Y, (rng.randrange(X.n), rng.randrange(X.n)))
+    uniform: dict = {}
+    for _, group in uniform_towers(8, 3):
+        for t in group:
+            uniform.setdefault(t.n, []).append(t)
+    sizes = sorted(uniform)
+    for _ in range(1500):
+        group = uniform[rng.choice(sizes)]
+        X, Y = rng.choice(group), rng.choice(group)
+        found += agree(X, Y)
+        agree(X, Y, (rng.randrange(X.n), rng.randrange(X.n)))
+    assert found > 1000
+
+
+def test_shift_0_between_towers_passes_the_pair_limit():
+    cube = gen_product([2] * 12)
+    copy = relabel(random.Random(12), cube)
+    assert cube.n * copy.n > multimaps.PAIR_UNIVERSE_LIMIT
+    rep = check_equivalence(search_equivalence(cube, copy, 0))
+    assert rep.passed and (rep.s, rep.t) == (0, 0)
+    assert search_equivalence(cube, gen_product([4] + [2] * 10), 0) is None
+
+
+def test_require_pair_is_checked_before_any_answer(monkeypatch):
+    calls = [
+        (gen_product([2]), gen_product([3]), 0, (9, 9)),
+        (gen_product([64, 2]), gen_product([64]), 1, (999, 0)),
+        (gen_product([2, 2]), gen_product([4]), 1, (4, 0)),
+        (gen_product([2, 2]), gen_product([2, 2]), 0, (0, -1)),
+    ]
+    for X, Y, s, pair in calls:
+        with pytest.raises(ValueError, match="require_pair out of range"):
+            search_equivalence(X, Y, s, require_pair=pair)
+    # a malformed budget is refused on the shift-0 tree path as well
+    monkeypatch.setenv("COARSEKIT_SEARCH_CAP", "many")
+    with pytest.raises(ValueError, match="COARSEKIT_SEARCH_CAP"):
+        search_equivalence(gen_product([2, 2]), gen_product([2, 2]), 0)
 
 
 def reference_context(X, Y, s):
