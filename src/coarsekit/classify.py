@@ -200,9 +200,8 @@ def build_equivalence(
         transcript.append("X uniformized at boundaries " + ",".join(map(str, ubx)))
     if list(uby) != list(range(Y.k + 1)):
         transcript.append("Y uniformized at boundaries " + ",".join(map(str, uby)))
+    # never None: both cumulative totals are n, and n >= 2 rules out depth 0
     il = interleave(regroup(X, ubx), regroup(Y, uby))
-    if il is None:
-        return None
     bx = tuple(ubx[i] for i in il[0])
     by = tuple(uby[j] for j in il[1])
     RX, RY = regroup(X, bx), regroup(Y, by)

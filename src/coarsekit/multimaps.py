@@ -585,7 +585,6 @@ def search_equivalence(
     max_shift: int,
     *,
     require_pair: Optional[tuple] = None,
-    node_cap: Optional[int] = None,
 ) -> Optional[MultiMap]:
     """Decide whether a coarse equivalence with constant shifts <=
     max_shift in both directions exists; None is a proof none exists.
@@ -608,7 +607,7 @@ def search_equivalence(
         if not (0 <= rx < X.n and 0 <= ry < Y.n):
             raise ValueError("require_pair out of range")
     # read even where no search runs, so a malformed budget is always refused
-    cap = search_cap() if node_cap is None else int(node_cap)
+    cap = search_cap()
     if s == 0 and isinstance(X, Tower) and isinstance(Y, Tower):
         return _context_cache(X, Y, 0).witness(require_pair)
     return _backtrack(X, Y, s, require_pair, cap)

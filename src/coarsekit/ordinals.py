@@ -20,8 +20,9 @@ from .textio import is_natural
 
 #: the deepest nesting of parenthesized exponents parse_ordinal accepts.
 #: Parsing, formatting, comparison and the arithmetic recurse once per
-#: level; all of them still run at depth 200 from a shallow stack, so 100
-#: leaves the callers' frames room under the default recursion limit.
+#: level, at up to four interpreter frames a level; all of them still run
+#: at depth 200 from a shallow stack, so 100 leaves the callers' frames
+#: room under the default recursion limit.
 ORDINAL_DEPTH_LIMIT = 100
 
 
@@ -39,8 +40,10 @@ class Ordinal:
 
     ``terms`` is a tuple of (exponent, coefficient) pairs where each exponent
     is itself an Ordinal, exponents strictly decrease, and coefficients are
-    >= 1.  Instances are immutable and hashable; <, +, * delegate to
-    ord_cmp, ord_add and ord_mul.
+    >= 1.  Instances are immutable and hashable.  The order is the
+    lexicographic order of ``terms``: the first differing exponent decides,
+    then its coefficient, and a proper prefix is smaller.  + and * delegate
+    to ord_add and ord_mul.
     """
 
     __slots__ = ("terms", "_hash")
@@ -53,7 +56,7 @@ class Ordinal:
             if c < 1:
                 raise ValueError("coefficients must be positive")
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if ord_cmp(e1, e2) <= 0:
+            if not e2 < e1:
                 raise ValueError("exponents must strictly decrease")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", hash(terms))
@@ -87,7 +90,7 @@ class Ordinal:
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return ord_cmp(self, other) < 0
+        return self.terms < other.terms
 
     def __hash__(self):
         return self._hash
@@ -119,24 +122,14 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"cannot interpret {x!r} as an ordinal")
 
 
-ZERO = Ordinal.__new__(Ordinal)
-object.__setattr__(ZERO, "terms", ())
-object.__setattr__(ZERO, "_hash", hash(()))
+ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    """Compare two ordinals: -1, 0 or 1."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_cmp(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """Compare two ordinals: -1, 0 or 1, in the term-tuple order of Ordinal."""
+    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -146,8 +139,8 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero():
         return b
     eb = b.terms[0][0]
-    kept = [t for t in a.terms if ord_cmp(t[0], eb) > 0]
-    rest = [t for t in a.terms if ord_cmp(t[0], eb) == 0]
+    kept = [t for t in a.terms if eb < t[0]]
+    rest = [t for t in a.terms if t[0] == eb]
     if rest:
         merged = (eb, rest[0][1] + b.terms[0][1])
         return Ordinal(tuple(kept) + (merged,) + b.terms[1:])
@@ -178,18 +171,16 @@ def tail(gamma: Ordinal) -> Ordinal:
     return Ordinal(((smallest_exp, 1),))
 
 
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class CardinalSym:
     """Symbolic cardinal: a finite value, aleph0, or aleph1.
 
-    Totally ordered: Finite(n) < Finite(m) iff n < m, and every finite value
-    sits below ALEPH0 < ALEPH1.
+    Totally ordered by (rank, value): Finite(n) < Finite(m) iff n < m, and
+    every finite value (rank 0) sits below ALEPH0 (rank 1) < ALEPH1 (rank 2).
     """
 
-    __slots__ = ("_rank", "_n")
-
-    def __init__(self, rank: int, n=None):
-        self._rank = rank
-        self._n = n
+    _rank: int
+    _n: int = 0
 
     @staticmethod
     def finite(n: int) -> "CardinalSym":
@@ -204,24 +195,7 @@ class CardinalSym:
     @property
     def value(self):
         """The integer value of a finite cardinal, else None."""
-        return self._n
-
-    def _key(self):
-        return (self._rank, self._n if self._n is not None else 0)
-
-    def __eq__(self, other):
-        return isinstance(other, CardinalSym) and self._key() == other._key()
-
-    def __lt__(self, other):
-        if not isinstance(other, CardinalSym):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __hash__(self):
-        return hash(self._key())
+        return self._n if self._rank == 0 else None
 
     def __str__(self):
         if self._rank == 0:

@@ -508,6 +508,32 @@ def test_non_nested_cells_report_the_coarser_line():
         assert str(ei.value) == f"line {line}: {msg}"
 
 
+def test_mixed_cells_and_pairs_levels():
+    """A file with both kinds of level reads every cells: level as a matrix:
+    a cellular mix gives the all-cells Tower, a non-cellular one a chain
+    holding the partition, and a non-nested one blames the coarser line."""
+    for tower in [gen_product([2, 2, 2]), gen_product([3, 2]), *exhaustive_towers(4)]:
+        lines = format_ballean(tower).splitlines()
+        for i, line in enumerate(lines):
+            if " cells:" in line:
+                mixed = lines[:i] + as_pairs(line).splitlines() + lines[i + 1:]
+                got = parse_ballean("\n".join(mixed) + "\n")
+                assert isinstance(got, Tower) and got == tower
+    got = parse_ballean(
+        "ballean v1\npoints 4\nlevels 3\nlevel 1 pairs: (0,1) (1,2)\nlevel 2 cells: 0 1 2 | 3\n"
+    )
+    assert not isinstance(got, Tower) and not is_cellular(got)
+    row = np.array([0, 0, 0, 1])
+    assert np.array_equal(got.level(2), row[:, None] == row[None, :])
+    for text, line in [
+        ("ballean v1\npoints 4\nlevels 3\nlevel 1 pairs: (0,1) (2,3)\nlevel 2 cells: 0 2 | 1 3\n", 5),
+        ("ballean v1\npoints 4\nlevels 3\nlevel 2 pairs: (0,2) (1,3)\nlevel 1 cells: 0 1 | 2 3\n", 4),
+    ]:
+        with pytest.raises(FormatError) as ei:
+            parse_ballean(text)
+        assert str(ei.value) == f"line {line}: level 1 is not contained in level 2"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

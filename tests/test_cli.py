@@ -215,6 +215,21 @@ def test_verify_tampered_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line, bad, msg",
+    [
+        ("shift-fwd: 0 1 1", "shift-fwd: 0 1", "forward shift table does not cover the source levels"),
+        ("shift-bwd: 0 2", "shift-bwd: 0", "backward shift table does not cover the source levels"),
+        ("shift-bwd: 0 2", "shift-bwd: 0 1", "backward coarseness fails: "),
+    ],
+)
+def test_verify_refuses_short_or_lowered_shift_tables(tmp_path, line, bad, msg):
+    text = format_certificate(build_equivalence(gen_product([2, 2]), gen_product([4])))
+    path = write(tmp_path, "bad.cert", text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    code, out, _ = invoke(["verify", path])
+    assert code == 1 and msg in out
+
+
+@pytest.mark.parametrize(
     "line, bad",
     [
         ("pair 0 0", "pair 0 \u00b2"),

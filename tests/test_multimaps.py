@@ -251,6 +251,7 @@ def test_min_shift_examples():
     x = gen_product([2, 2])
     assert min_shift(x, x, 2) == 0
     assert min_shift(x, gen_product([4, 1]), 3) == 1
+    assert min_shift(gen_product([2]), gen_product([3]), 0) is None
     # one point against two points with a duplicated discrete mid-level:
     # the image of the single point must be the whole 2-point space, whose
     # square escapes the discrete levels 0 and 1, so shift 2 is needed
@@ -295,10 +296,11 @@ def test_search_pin():
             assert phi is not None and (x, y) in phi.pairs
 
 
-def test_search_cap():
+def test_search_cap(monkeypatch):
+    monkeypatch.setenv("COARSEKIT_SEARCH_CAP", "2")
     x = gen_product([2, 2, 2])
     with pytest.raises(SearchCapExceeded):
-        search_equivalence(x, x, 1, node_cap=2)
+        search_equivalence(x, x, 1)
 
 
 def test_search_cap_env_override(monkeypatch):
