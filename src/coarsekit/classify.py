@@ -13,13 +13,15 @@ multimap pair lines, with the line numbers of the whole file.
 Homogeneity at shift s has two independent readings kept side by side: the
 spectral one (some regrouping with blocks of width at most s+1 is uniform)
 and the oracle one (for every ordered pair of points some self-equivalence
-within shift s moves one to the other).
+within shift s moves one to the other: class-tree codes at shift 0, one
+search per orbit of point pairs above it).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,9 +31,9 @@ from .multimaps import (
     EquivalenceReport,
     MultiMap,
     ShiftFn,
+    _context_cache,
     check_equivalence,
     format_multimap,
-    inverse,
     search_equivalence,
 )
 from .textio import FormatError, Lines, is_natural
@@ -261,6 +263,48 @@ def point_transitive_map(tower: Tower, x: int, y: int) -> MultiMap:
     return MultiMap(tower, tower, _transposition(coordinatize(tower), x, y))
 
 
+class _Witnesses(Mapping):
+    """The oracle at one shift: failing, and the witnesses of the pairs x < y
+    before it, built on access.  A tree automorphism g (x to x', then a swap
+    of equal-code classes inside their level-dist(x, y) class) exchanges the
+    pairs of one key, so g.phi.g^-1 reuses the key's searched witness phi."""
+
+    def __init__(self, tower: Tower, shift: int):
+        self.codes = codes = _context_cache(tower, tower, 0)
+        self.n, self.shift, self.orbits, self.failing = tower.n, shift, {}, None
+        self.full = full = codes.paths[0][codes.c]
+        if shift == 0:  # an automorphism can move x to y iff their full paths agree
+            self.failing = next(((0, y) for y, path in enumerate(full) if path != full[0]), None)
+            return
+        for x, y in itertools.combinations(range(tower.n), 2):
+            if (key := self.key(x, y)) not in self.orbits:
+                phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
+                if phi is None:
+                    self.failing = (x, y)
+                    return
+                self.orbits[key] = (x, y, phi)
+
+    def key(self, x: int, y: int) -> tuple:
+        return self.full[x], (d := self.codes.X.dist(x, y)), self.codes.paths[0][d][y]
+
+    def __iter__(self):
+        return itertools.islice(itertools.combinations(range(self.n), 2), len(self))
+
+    def __len__(self) -> int:
+        x, y = self.failing or (self.n - 1, self.n)  # as if (n - 1, n) failed
+        return x * (2 * self.n - x - 1) // 2 + y - x - 1
+
+    def __getitem__(self, pair) -> MultiMap:
+        end = self.failing or (self.n, 0)  # every pair x < y < n comes before (n, 0)
+        if not (type(pair) is tuple and len(pair) == 2 and 0 <= pair[0] < pair[1] < self.n and pair < end):
+            raise KeyError(pair)
+        if self.shift == 0:
+            return self.codes.witness(pair)
+        x0, y0, phi = self.orbits[self.key(*pair)]
+        g = dict(self.codes.witness((x0, pair[0]), (y0, pair[1])).pairs)
+        return MultiMap._trusted(phi.source, phi.target, frozenset((g[a], g[b]) for a, b in phi.pairs))
+
+
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Both verdicts at the checked shift.
@@ -268,15 +312,11 @@ class HomogeneityReport:
     spectral: some regrouping with blocks of width <= shift+1 is uniform;
     when it is, regrouping/bound carry the witness and its implied shift.
     oracle: every unordered pair of points is connected by a
-    self-equivalence within the shift (None when skipped by the size cap);
-    witnesses/failing_pair carry the evidence.  homogeneous repeats the
-    spectral verdict, which is the headline criterion.
-
-    witnesses are shared: the oracle searches only pairs no earlier witness
-    moves, and keys each witness under every (a, b) it holds with a < b and
-    its inverse under every (b, a) it holds with a > b, so some values are
-    inverses.  After "yes" every pair is a key; after "no" the keys are the
-    pairs moved by the witnesses found before failing_pair.
+    self-equivalence within the shift (None when skipped by the size cap,
+    which binds above shift 0 only); failing_pair and witnesses, a read-only
+    mapping computed on access (above shift 0 by conjugating one search per
+    orbit of pairs), carry the evidence.  homogeneous repeats the spectral
+    verdict, which is the headline criterion.
     """
 
     shift: int
@@ -286,7 +326,7 @@ class HomogeneityReport:
     oracle: Optional[bool]
     oracle_skipped: bool
     failing_pair: Optional[tuple]
-    witnesses: dict
+    witnesses: Mapping
     translations: dict
 
     @property
@@ -299,6 +339,8 @@ def is_homogeneous(
     max_shift: Optional[int] = None,
     oracle_cap: int = HOMOGENEITY_ORACLE_CAP,
 ) -> HomogeneityReport:
+    """Both verdicts at max_shift (default k - 1).  The oracle runs at shift 0
+    on any tower, above it on at most oracle_cap points, once per orbit of pairs."""
     if not isinstance(tower, Tower):
         raise TypeError("is_homogeneous needs a cellular tower")
     shift = max(tower.k - 1, 0) if max_shift is None else int(max_shift)
@@ -311,24 +353,10 @@ def is_homogeneous(
         cm = coordinatize(regroup(tower, bounds))
         for x, y in itertools.combinations(range(min(tower.n, 6)), 2):
             translations[(x, y)] = MultiMap(tower, tower, _transposition(cm, x, y))
-    oracle = failing = None
-    skipped = tower.n > oracle_cap
-    witnesses: dict = {}
-    if not skipped:
-        oracle = True
-        # a pair that a witness or its inverse (also a witness at constant
-        # shift) moves would pass its search, so the first failing pair stays
-        for x, y in itertools.combinations(range(tower.n), 2):
-            if (x, y) in witnesses:
-                continue
-            phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
-            if phi is None:
-                oracle, failing = False, (x, y)
-                break
-            witnesses.update({p: phi for p in phi.pairs if p[0] < p[1] and p not in witnesses})
-            back = [(b, a) for a, b in phi.pairs if a > b and (b, a) not in witnesses]
-            if back:
-                witnesses.update(dict.fromkeys(back, inverse(phi)))
+    skipped = shift > 0 and tower.n > oracle_cap
+    witnesses = {} if skipped else _Witnesses(tower, shift)
+    failing = None if skipped else witnesses.failing
+    oracle = None if skipped else failing is None
     return HomogeneityReport(
         shift, spectral, bounds, bound, oracle, skipped, failing, witnesses, translations
     )

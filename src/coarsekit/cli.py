@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=cmd_homogeneous)
     q.add_argument("file")
     q.add_argument("--max-shift", type=int, default=None)
-    q.add_argument("--oracle-cap", type=int, default=HOMOGENEITY_ORACLE_CAP)
+    q.add_argument("--oracle-cap", type=int, default=HOMOGENEITY_ORACLE_CAP,
+                   help="the most points the oracle searches above shift 0")
 
     q = sub.add_parser("large", help="least level at which a set is large")
     q.set_defaults(run=cmd_large)

@@ -525,9 +525,10 @@ class _TreeCodes:
             for y, key in enumerate(zip(self.rows[1][a], self.paths[1][a])):
                 self.groups[a].setdefault(key, []).append(y)
 
-    def witness(self, require_pair: Optional[tuple]) -> Optional[MultiMap]:
+    def witness(self, *required: tuple) -> Optional[MultiMap]:
         """The least bijection, by the images of 0, 1, ... in turn, that
-        matches the level partitions 0..c-1 and holds require_pair.
+        matches the level partitions 0..c-1 and holds the required pairs,
+        which some such bijection must hold together when there are several.
 
         Each point x gets the least y on its path that lies in the image of
         x's lowest mapped class and whose class one level below is unused:
@@ -548,8 +549,7 @@ class _TreeCodes:
                 image[b][lx[b][x]] = ly[b][y]
                 used[b].add(ly[b][y])
 
-        if require_pair is not None:
-            rx, ry = require_pair
+        for rx, ry in required:
             if xpaths[c][rx] != ypaths[c][ry]:
                 return None
             take(rx, ry, c)
@@ -609,7 +609,7 @@ def search_equivalence(
     # read even where no search runs, so a malformed budget is always refused
     cap = search_cap()
     if s == 0 and isinstance(X, Tower) and isinstance(Y, Tower):
-        return _context_cache(X, Y, 0).witness(require_pair)
+        return _context_cache(X, Y, 0).witness(*(() if require_pair is None else (require_pair,)))
     return _backtrack(X, Y, s, require_pair, cap)
 
 

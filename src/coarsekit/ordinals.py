@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from operator import index
 
 from .textio import is_natural
 
@@ -49,7 +50,7 @@ class Ordinal:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=()):
-        terms = tuple((e, int(c)) for e, c in terms)
+        terms = tuple((e, index(c)) for e, c in terms)
         for e, c in terms:
             if not isinstance(e, Ordinal):
                 raise TypeError("exponents must be Ordinal instances")
@@ -184,7 +185,7 @@ class CardinalSym:
 
     @staticmethod
     def finite(n: int) -> "CardinalSym":
-        if n < 0:
+        if index(n) < 0:
             raise ValueError("finite cardinals are non-negative")
         return CardinalSym(0, n)
 

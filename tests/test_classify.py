@@ -383,6 +383,45 @@ def test_shared_witnesses_match_the_per_pair_oracle(searched_pairs):
     assert rep.oracle is True and len(searched_pairs) < len(rep.witnesses) == 120
 
 
+def test_orbit_oracle_matches_the_per_pair_oracle():
+    # one search per orbit of pairs gives the per-pair search's verdict and
+    # failing pair, and a conjugated witness for every pair it keys; shift 2
+    # skips the six-point towers, which would take the run past 15 s
+    for t in exhaustive_towers(6, 3):
+        for s in range(3 if t.n < 6 else 2):
+            oracle, failing, ref = per_pair_oracle(t, s)
+            rep = is_homogeneous(t, s)
+            assert (rep.oracle, rep.failing_pair) == (oracle, failing), (t.labels, s)
+            assert list(rep.witnesses) == list(ref) and len(rep.witnesses) == len(ref)
+            table = ShiftFn.constant(s, t.k, t.k)
+            for key, phi in rep.witnesses.items():
+                assert key in phi.pairs, (t.labels, s, key)
+                assert check_equivalence(phi, table, table).passed, (t.labels, s, key)
+            assert failing not in rep.witnesses and (t.n, t.n + 1) not in rep.witnesses
+            with pytest.raises(KeyError):
+                rep.witnesses[failing or (0, t.n)]
+
+
+def test_homogeneity_searches_once_per_orbit(searched_pairs):
+    # the uniform grid has one orbit per level of the pair's distance
+    t = gen_product([5, 4])
+    rep = is_homogeneous(t, 1)
+    assert rep.oracle is True and len(rep.witnesses) == 190
+    assert 1 <= len(searched_pairs) <= t.k
+
+
+def test_shift_0_oracle_answers_above_the_cap(searched_pairs):
+    cube = gen_product([2] * 9)
+    rep = is_homogeneous(cube, 0)
+    assert rep.oracle is True and not rep.oracle_skipped and searched_pairs == []
+    assert len(rep.witnesses) == 512 * 511 // 2
+    phi, table = rep.witnesses[(3, 500)], ShiftFn.identity(cube.k, cube.k)
+    assert (3, 500) in phi.pairs and check_equivalence(phi, table, table).passed
+    # above shift 0 the cap still binds
+    rep = is_homogeneous(cube, 1)
+    assert rep.oracle is None and rep.oracle_skipped and rep.witnesses == {}
+
+
 def test_point_transitive_maps():
     t = gen_product([2, 2])
     assert point_transitive_map(t, 1, 1).pairs == frozenset((z, z) for z in range(4))

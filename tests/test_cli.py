@@ -352,6 +352,19 @@ def test_homogeneous_negative_exit_1(tmp_path):
     assert "oracle failing pair" in out
 
 
+def test_homogeneous_shift_0_answers_above_the_oracle_cap(tmp_path):
+    # pairs on points 0..31, quadruples on 32..63: point 0's class tree
+    # path first differs at point 32, and shift 0 needs no search
+    cells = [[x, x + 1] for x in range(0, 32, 2)] + [list(range(x, x + 4)) for x in range(32, 64, 4)]
+    level = " | ".join(" ".join(map(str, c)) for c in cells)
+    path = write(tmp_path, "t.ballean", f"ballean v1\npoints 64\nlevels 2\nlevel 1 cells: {level}\n")
+    code, out, _ = invoke(["homogeneous", path, "--max-shift", "0"])
+    assert code == 1
+    assert out.endswith("oracle verdict: not homogeneous\noracle failing pair: 0 32\n")
+    code, out, _ = invoke(["homogeneous", path, "--max-shift", "1"])
+    assert "oracle: skipped (more than 24 points)\n" in out
+
+
 def test_large_verb(tmp_path):
     path = write(tmp_path, "c.ballean", format_ballean(gen_interval(10, [3, 9])))
     code, out, _ = invoke(["large", path, "--set", "0,4,8"])

@@ -544,11 +544,41 @@ def test_search_context_cache_is_bounded():
 
 
 def test_homogeneity_builds_one_search_context(searched_pairs):
+    # shift 0 reads the tree codes and searches nothing; above it the tree
+    # codes sort the pairs into orbits and one bitset context serves every
+    # orbit's search
+    t = gen_product([2, 3, 2])
     multimaps._context_cache.cache_clear()
-    rep = is_homogeneous(gen_product([2, 3, 2]), max_shift=0)
-    assert rep.oracle is True
+    rep = is_homogeneous(t, max_shift=0)
+    assert rep.oracle is True and searched_pairs == []
     info = multimaps._context_cache.cache_info()
-    assert info.misses == 1 and info.hits == len(searched_pairs) - 1
+    assert info.misses == 1 and info.hits == 0
+    multimaps._context_cache.cache_clear()
+    rep = is_homogeneous(t, max_shift=1)
+    assert rep.oracle is True and len(searched_pairs) == t.k
+    info = multimaps._context_cache.cache_info()
+    assert info.misses == 2 and info.hits == len(searched_pairs) - 1
+
+
+def test_tree_code_witness_holds_two_pairs_of_one_orbit():
+    # two ordered pairs with equal orbit keys are exchanged by a 0-shift
+    # automorphism, which witness(*required) returns holding both
+    rng = random.Random(14)
+    towers = [*exhaustive_towers(5, 3), *(random_tower(rng, 12, 4) for _ in range(40))]
+    checked = 0
+    for t in towers:
+        rep = is_homogeneous(t, 0)
+        codes, by_key = rep.witnesses.codes, {}
+        for x, y in itertools.permutations(range(t.n), 2):
+            by_key.setdefault(rep.witnesses.key(x, y), []).append((x, y))
+        for pairs in by_key.values():
+            (x0, y0), (x, y) = pairs[0], rng.choice(pairs)
+            g = codes.witness((x0, x), (y0, y))
+            assert g is not None and {(x0, x), (y0, y)} <= g.pairs, (t.labels, pairs)
+            assert len(g.pairs) == t.n and {a for a, _ in g.pairs} == {b for _, b in g.pairs} == set(range(t.n))
+            assert check_equivalence(g, ShiftFn.identity(t.k, t.k), ShiftFn.identity(t.k, t.k)).passed
+            checked += 1
+    assert checked > 3000
 
 
 # --- large-subset witnesses -----------------------------------------------------

@@ -216,6 +216,24 @@ def test_cardinal_sym_order():
     assert not ALEPH0 < CardinalSym.finite(10**9)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ordinal(((ZERO, 2.7),)),
+        lambda: Ordinal(((ZERO, "3"),)),
+        lambda: Ordinal.from_int(2.0),
+        lambda: CardinalSym.finite(2.5),
+        lambda: CardinalSym.finite("3"),
+    ],
+    ids=["float-coefficient", "str-coefficient", "float-from-int", "float-cardinal", "str-cardinal"],
+)
+def test_constructors_reject_non_integers(build):
+    # int() would truncate 2.7 to 2 and read "3" as 3; a float cardinal
+    # would print as 2.5 and sort among the integers
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_indecomposable():
     assert is_additively_indecomposable(W)
     assert not is_additively_indecomposable(w_pow(1, 2))
