@@ -31,10 +31,9 @@ from .multimaps import (
     EquivalenceReport,
     MultiMap,
     ShiftFn,
-    _context_cache,
+    _orbit_oracle,
     check_equivalence,
     format_multimap,
-    search_equivalence,
 )
 from .textio import FormatError, Lines, is_natural
 
@@ -231,9 +230,9 @@ def build_equivalence(
     return Certificate(X, Y, pairs, fwd, bwd, tuple(transcript), rep.s, rep.t)
 
 
-def _transposition(cm: CoordMap, x: int, y: int) -> list:
-    """The pairs of the self-bijection of a uniform tower that swaps the
-    codes of x and y coordinatewise, conjugated through its code table cm."""
+def _transposition(tower: Tower, cm: CoordMap, x: int, y: int) -> MultiMap:
+    """The self-bijection of tower that swaps the codes of x and y
+    coordinatewise, conjugated through cm, the codes of a uniform regrouping."""
     to_point = {code: p for p, code in enumerate(cm.codes)}
     cx, cy = cm.codes[x], cm.codes[y]
 
@@ -248,7 +247,9 @@ def _transposition(cm: CoordMap, x: int, y: int) -> list:
                 out.append(v)
         return tuple(out)
 
-    return [(z, to_point[tau(code)]) for z, code in enumerate(cm.codes)]
+    # every code is some point's, so the pairs lie in range by construction
+    pairs = frozenset((z, to_point[tau(code)]) for z, code in enumerate(cm.codes))
+    return MultiMap._trusted(tower, tower, pairs)
 
 
 def point_transitive_map(tower: Tower, x: int, y: int) -> MultiMap:
@@ -260,49 +261,28 @@ def point_transitive_map(tower: Tower, x: int, y: int) -> MultiMap:
         raise ValueError("point-transitive translations need a uniform tower")
     if not (0 <= x < tower.n and 0 <= y < tower.n):
         raise IndexError("point out of range")
-    return MultiMap(tower, tower, _transposition(coordinatize(tower), x, y))
+    return _transposition(tower, coordinatize(tower), x, y)
 
 
-class _Witnesses(Mapping):
-    """The oracle at one shift: failing, and the witnesses of the pairs x < y
-    before it, built on access.  A tree automorphism g (x to x', then a swap
-    of equal-code classes inside their level-dist(x, y) class) exchanges the
-    pairs of one key, so g.phi.g^-1 reuses the key's searched witness phi."""
+class _PairMaps(Mapping):
+    """make(x, y), built on access, for the pairs x < y < n that come before
+    end in itertools.combinations order; every pair comes before (n - 1, n)."""
 
-    def __init__(self, tower: Tower, shift: int):
-        self.codes = codes = _context_cache(tower, tower, 0)
-        self.n, self.shift, self.orbits, self.failing = tower.n, shift, {}, None
-        self.full = full = codes.paths[0][codes.c]
-        if shift == 0:  # an automorphism can move x to y iff their full paths agree
-            self.failing = next(((0, y) for y, path in enumerate(full) if path != full[0]), None)
-            return
-        for x, y in itertools.combinations(range(tower.n), 2):
-            if (key := self.key(x, y)) not in self.orbits:
-                phi = search_equivalence(tower, tower, shift, require_pair=(x, y))
-                if phi is None:
-                    self.failing = (x, y)
-                    return
-                self.orbits[key] = (x, y, phi)
-
-    def key(self, x: int, y: int) -> tuple:
-        return self.full[x], (d := self.codes.X.dist(x, y)), self.codes.paths[0][d][y]
+    def __init__(self, n: int, make, end: Optional[tuple] = None):
+        self.n, self.make, self.end = n, make, end or (n - 1, n)
 
     def __iter__(self):
         return itertools.islice(itertools.combinations(range(self.n), 2), len(self))
 
     def __len__(self) -> int:
-        x, y = self.failing or (self.n - 1, self.n)  # as if (n - 1, n) failed
+        x, y = self.end
         return x * (2 * self.n - x - 1) // 2 + y - x - 1
 
     def __getitem__(self, pair) -> MultiMap:
-        end = self.failing or (self.n, 0)  # every pair x < y < n comes before (n, 0)
-        if not (type(pair) is tuple and len(pair) == 2 and 0 <= pair[0] < pair[1] < self.n and pair < end):
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+                and 0 <= pair[0] < pair[1] < self.n and pair < self.end):
             raise KeyError(pair)
-        if self.shift == 0:
-            return self.codes.witness(pair)
-        x0, y0, phi = self.orbits[self.key(*pair)]
-        g = dict(self.codes.witness((x0, pair[0]), (y0, pair[1])).pairs)
-        return MultiMap._trusted(phi.source, phi.target, frozenset((g[a], g[b]) for a, b in phi.pairs))
+        return self.make(*pair)
 
 
 @dataclass(frozen=True)
@@ -313,10 +293,10 @@ class HomogeneityReport:
     when it is, regrouping/bound carry the witness and its implied shift.
     oracle: every unordered pair of points is connected by a
     self-equivalence within the shift (None when skipped by the size cap,
-    which binds above shift 0 only); failing_pair and witnesses, a read-only
-    mapping computed on access (above shift 0 by conjugating one search per
-    orbit of pairs), carry the evidence.  homogeneous repeats the spectral
-    verdict, which is the headline criterion.
+    which binds above shift 0 only), with failing_pair and witnesses as the
+    evidence; translations holds the uniform regrouping's point-transitive
+    maps of the pairs among the first min(n, 6) points.  Both mappings build
+    their maps on access.  homogeneous repeats the spectral verdict.
     """
 
     shift: int
@@ -324,10 +304,9 @@ class HomogeneityReport:
     regrouping: Optional[tuple]
     bound: Optional[int]
     oracle: Optional[bool]
-    oracle_skipped: bool
     failing_pair: Optional[tuple]
     witnesses: Mapping
-    translations: dict
+    translations: Mapping
 
     @property
     def homogeneous(self) -> bool:
@@ -347,19 +326,18 @@ def is_homogeneous(
     bounds = uniformizing_regroup(tower, max_width=shift + 1)
     spectral = bounds is not None
     bound = max((b - a for a, b in zip(bounds, bounds[1:])), default=1) - 1 if spectral else None
-    translations: dict = {}
+    translations: Mapping = {}
     if spectral:
         # the regrouped tower is uniform; its translations act on the tower
         cm = coordinatize(regroup(tower, bounds))
-        for x, y in itertools.combinations(range(min(tower.n, 6)), 2):
-            translations[(x, y)] = MultiMap(tower, tower, _transposition(cm, x, y))
-    skipped = shift > 0 and tower.n > oracle_cap
-    witnesses = {} if skipped else _Witnesses(tower, shift)
-    failing = None if skipped else witnesses.failing
-    oracle = None if skipped else failing is None
-    return HomogeneityReport(
-        shift, spectral, bounds, bound, oracle, skipped, failing, witnesses, translations
-    )
+        translations = _PairMaps(min(tower.n, 6), lambda x, y: _transposition(tower, cm, x, y))
+    witnesses: Mapping = {}
+    failing = oracle = None
+    if shift == 0 or tower.n <= oracle_cap:
+        failing, witness = _orbit_oracle(tower, shift)
+        witnesses = _PairMaps(tower.n, witness, failing)
+        oracle = failing is None
+    return HomogeneityReport(shift, spectral, bounds, bound, oracle, failing, witnesses, translations)
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def cmd_homogeneous(args, out, err):
     if rep.spectral:
         print("regrouping: " + ",".join(map(str, rep.regrouping)), file=out)
         print(f"shift bound: {rep.bound}", file=out)
-    if rep.oracle_skipped:
+    if rep.oracle is None:
         print(f"oracle: skipped (more than {args.oracle_cap} points)", file=out)
     else:
         print(f"oracle verdict: {'homogeneous' if rep.oracle else 'not homogeneous'}", file=out)

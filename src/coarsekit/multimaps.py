@@ -48,8 +48,8 @@ pair ids: one carry test finds every source whose block has no allowed
 pair, and one OR-fold of the blocks finds every target with none.  The
 depth-first search keeps its frames on an explicit stack, n + m deep at
 most.  The 4096-pair limit and the node budget (COARSEKIT_SEARCH_CAP)
-bound this search only.  The contexts of the last few tower pairs, tree
-codes at shift 0 and bitmasks above it, are kept for reuse.
+bound this search only.  A context belongs to the call that builds it and
+to the witnesses that call returns; none is kept from one call to the next.
 
 Coarseness checks between two towers climb the source's class tree through
 the target's level ultrametric and build no matrices; any other pair of chains
@@ -60,6 +60,7 @@ The `multimap v1` format is read on the line grammar of textio.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -436,8 +437,6 @@ def _balls(chain: EntourageChain, stride: int) -> list:
 
 @dataclass(frozen=True)
 class _SearchContext:
-    n: int
-    m: int
     compat: tuple      # per pair id, bitmask of compatible pair ids
     pairs_of_x: tuple
     pairs_of_y: tuple
@@ -448,6 +447,12 @@ class _SearchContext:
 
 def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchContext:
     n, m = X.n, Y.n
+    if n * m > PAIR_UNIVERSE_LIMIT:
+        raise SearchCapExceeded(
+            PAIR_UNIVERSE_LIMIT,
+            f"equivalence search over {n}*{m} = {n * m} pairs exceeds the limit "
+            f"of {PAIR_UNIVERSE_LIMIT} pairs",
+        )
     limX = max(X.k, 1)
     limY = max(Y.k, 1)
     topY = Y.k + 1
@@ -483,9 +488,7 @@ def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchConte
     folds = []
     while 1 << len(folds) < n:
         folds.append(m << len(folds))
-    return _SearchContext(
-        n, m, tuple(compat), pairs_of_x, pairs_of_y, ones, ones << (m - 1), tuple(folds)
-    )
+    return _SearchContext(tuple(compat), pairs_of_x, pairs_of_y, ones, ones << (m - 1), tuple(folds))
 
 
 class _TreeCodes:
@@ -495,17 +498,17 @@ class _TreeCodes:
     of its children's codes, interned in tables both towers share, so equal
     codes at one level mean isomorphic subtrees; the towers are equivalent
     when their level-(c-1) codes agree as multisets.  paths[i][a][x]
-    numbers the codes of x's classes at levels 0..a-1 the same way, and
-    groups[a] sends a level-a class of Y and a path to its points on it."""
+    numbers the codes of x's classes at levels 0..a-1 the same way.  When Y
+    is X, one pass serves both sides."""
 
     def __init__(self, X: Tower, Y: Tower):
         c = max(min(X.k, Y.k), 1)
         self.X, self.Y, self.c = X, Y, c
-        self.rows = [T.labels[:c] + ((0,) * T.n,) for T in (X, Y)]
         code_of: dict = {}
         path_of: dict = {}
-        tops, self.paths = [], []
-        for T, rows in zip((X, Y), self.rows):
+        self.rows, self.paths, tops = [], [], []
+        for T in (X,) if Y is X else (X, Y):
+            rows = T.labels[:c] + ((0,) * T.n,)
             codes = path = [0] * T.n   # the points, all alike, and no path yet
             paths = [path]
             for a in range(c):
@@ -517,13 +520,21 @@ class _TreeCodes:
                 path = [path_of.setdefault((p, codes[q]), len(path_of))
                         for p, q in zip(path, rows[a])]
                 paths.append(path)
-            tops.append(sorted(codes))
+            self.rows.append(rows)
             self.paths.append(paths)
-        self.equivalent = tops[0] == tops[1]
-        self.groups = [{} for _ in range(c + 1)]
-        for a in range(1, c + 1):
+            tops.append(codes)
+        if Y is X:
+            self.rows, self.paths = self.rows * 2, self.paths * 2
+        self.equivalent = Y is X or sorted(tops[0]) == sorted(tops[1])
+
+    @functools.cached_property
+    def groups(self) -> list:
+        """groups[a] sends a level-a class of Y and a path to its points on it."""
+        groups = [{} for _ in range(self.c + 1)]
+        for a in range(1, self.c + 1):
             for y, key in enumerate(zip(self.rows[1][a], self.paths[1][a])):
-                self.groups[a].setdefault(key, []).append(y)
+                groups[a].setdefault(key, []).append(y)
+        return groups
 
     def witness(self, *required: tuple) -> Optional[MultiMap]:
         """The least bijection, by the images of 0, 1, ... in turn, that
@@ -568,15 +579,37 @@ class _TreeCodes:
         return MultiMap._trusted(self.X, self.Y, frozenset(image[0].items()))
 
 
-def _tower_context(X: Tower, Y: Tower, s: int):
-    return _TreeCodes(X, Y) if s == 0 else _build_context(X, Y, s)
+def _orbit_oracle(T: Tower, s: int):
+    """The homogeneity oracle of T at shift s: (failing, witness).  failing
+    is the least pair x < y, in itertools.combinations order, that no
+    self-equivalence within shift s moves one to the other, or None, and
+    witness(x, y) builds one for any pair before it.  A tree automorphism g
+    (x to x', then a swap of equal-code classes inside their level-d class)
+    exchanges the pairs of one key (full[x], d, path_d[y]), d = T.dist(x, y),
+    so all share the searched witness phi of the first, as g.phi.g^-1."""
+    codes = _TreeCodes(T, T)
+    full = codes.paths[0][codes.c]
+    if s == 0:  # an automorphism can move x to y iff their full paths agree
+        failing = next(((0, y) for y, path in enumerate(full) if path != full[0]), None)
+        return failing, lambda x, y: codes.witness((x, y))
 
+    def key(x, y):
+        return full[x], (d := T.dist(x, y)), codes.paths[0][d][y]
 
-#: tower contexts kept for reuse, least recently used dropped first: tree
-#: codes at shift 0, bitset contexts above it
-CONTEXT_CACHE_SIZE = 8
+    def witness(x, y):
+        x0, y0, phi = orbits[key(x, y)]
+        g = dict(codes.witness((x0, x), (y0, y)).pairs)
+        return MultiMap._trusted(T, T, frozenset((g[a], g[b]) for a, b in phi.pairs))
 
-_context_cache = functools.lru_cache(maxsize=CONTEXT_CACHE_SIZE)(_tower_context)
+    # the budget is read first, so a malformed one is refused before any limit
+    cap, ctx, orbits = search_cap(), _build_context(T, T, s), {}
+    for x, y in itertools.combinations(range(T.n), 2):
+        if (k := key(x, y)) not in orbits:
+            phi = _backtrack(T, T, ctx, (x, y), cap)
+            if phi is None:
+                return (x, y), witness
+            orbits[k] = (x, y, phi)
+    return None, witness
 
 
 def search_equivalence(
@@ -596,8 +629,7 @@ def search_equivalence(
     a preimage for each still-uncovered target point, backtracking on the
     pairwise shift constraints.  The first witness in this order is
     returned, so results are deterministic; the tree path returns that
-    same witness.  require_pair forces a given (x, y) into the relation,
-    which is what the homogeneity oracle needs.
+    same witness.  require_pair forces a given (x, y) into the relation.
     """
     s = int(max_shift)
     if s < 0:
@@ -609,29 +641,19 @@ def search_equivalence(
     # read even where no search runs, so a malformed budget is always refused
     cap = search_cap()
     if s == 0 and isinstance(X, Tower) and isinstance(Y, Tower):
-        return _context_cache(X, Y, 0).witness(*(() if require_pair is None else (require_pair,)))
-    return _backtrack(X, Y, s, require_pair, cap)
+        return _TreeCodes(X, Y).witness(*(() if require_pair is None else (require_pair,)))
+    # at shift 0 a witness is a bijection, so unequal sizes settle it
+    if s == 0 and X.n != Y.n:
+        return None
+    return _backtrack(X, Y, _build_context(X, Y, s), require_pair, cap)
 
 
 def _backtrack(
-    X: EntourageChain, Y: EntourageChain, s: int, require_pair: Optional[tuple], cap: int
+    X: EntourageChain, Y: EntourageChain, ctx: _SearchContext, require_pair: Optional[tuple], cap: int
 ) -> Optional[MultiMap]:
-    """The exhaustive search of search_equivalence, on a valid require_pair.
-    Tests also run it between towers at shift 0, against the tree path."""
+    """The exhaustive search of search_equivalence on X and Y's context ctx,
+    for a valid require_pair; tests also run it at shift 0 between towers."""
     n, m = X.n, Y.n
-    # at shift 0 the bottom-level constraints force singleton images and
-    # preimages, i.e. a bijection, so unequal sizes settle it immediately
-    if s == 0 and n != m:
-        return None
-    if n * m > PAIR_UNIVERSE_LIMIT:
-        raise SearchCapExceeded(
-            PAIR_UNIVERSE_LIMIT,
-            f"equivalence search over {n}*{m} = {n * m} pairs exceeds the limit "
-            f"of {PAIR_UNIVERSE_LIMIT} pairs",
-        )
-    # the cache holds tree codes for towers at shift 0
-    towers = isinstance(X, Tower) and isinstance(Y, Tower)
-    ctx = _context_cache(X, Y, s) if s and towers else _build_context(X, Y, s)
     compat = ctx.compat
     pairs_of_x = ctx.pairs_of_x
     pairs_of_y = ctx.pairs_of_y

@@ -8,16 +8,17 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def searched_pairs(monkeypatch):
-    """The require_pair of every search_equivalence call that classify
-    makes, in order; clear the list to start a new count."""
-    from coarsekit import classify
+    """The require_pair of every backtracking search, as the homogeneity
+    oracle runs one per orbit of pairs, in order; clear the list to start a
+    new count."""
+    from coarsekit import multimaps
 
     calls = []
-    search = classify.search_equivalence
+    search = multimaps._backtrack
 
-    def recorded(*args, **kwargs):
-        calls.append(kwargs.get("require_pair"))
-        return search(*args, **kwargs)
+    def recorded(X, Y, ctx, require_pair, cap):
+        calls.append(require_pair)
+        return search(X, Y, ctx, require_pair, cap)
 
-    monkeypatch.setattr(classify, "search_equivalence", recorded)
+    monkeypatch.setattr(multimaps, "_backtrack", recorded)
     return calls

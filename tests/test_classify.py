@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coarsekit import classify, multimaps
 from coarsekit.balleans import EntourageChain, Tower, gen_product, spectrum
 from coarsekit.classify import (
     Certificate,
@@ -341,7 +343,7 @@ def test_single_point_homogeneous():
 
 def test_homogeneity_oracle_cap():
     rep = is_homogeneous(gen_product([2, 2]), max_shift=1, oracle_cap=2)
-    assert rep.oracle is None and rep.oracle_skipped
+    assert rep.oracle is None and rep.failing_pair is None and rep.witnesses == {}
 
 
 def per_pair_oracle(tower, shift):
@@ -413,13 +415,33 @@ def test_homogeneity_searches_once_per_orbit(searched_pairs):
 def test_shift_0_oracle_answers_above_the_cap(searched_pairs):
     cube = gen_product([2] * 9)
     rep = is_homogeneous(cube, 0)
-    assert rep.oracle is True and not rep.oracle_skipped and searched_pairs == []
+    assert rep.oracle is True and searched_pairs == []
     assert len(rep.witnesses) == 512 * 511 // 2
     phi, table = rep.witnesses[(3, 500)], ShiftFn.identity(cube.k, cube.k)
     assert (3, 500) in phi.pairs and check_equivalence(phi, table, table).passed
     # above shift 0 the cap still binds
     rep = is_homogeneous(cube, 1)
-    assert rep.oracle is None and rep.oracle_skipped and rep.witnesses == {}
+    assert rep.oracle is None and rep.witnesses == {}
+
+
+def test_homogeneity_maps_are_built_on_access(monkeypatch):
+    calls = []
+    transposition, witness = classify._transposition, multimaps._TreeCodes.witness
+    monkeypatch.setattr(classify, "_transposition", lambda *a: calls.append("t") or transposition(*a))
+    monkeypatch.setattr(multimaps._TreeCodes, "witness", lambda *a: calls.append("w") or witness(*a))
+    for t, shift in [(gen_product([2, 3, 2]), 0), (gen_product([2, 3, 2]), 1), (gen_product([2, 2]), 0)]:
+        calls.clear()
+        rep = is_homogeneous(t, shift)
+        assert rep.spectral and rep.oracle is True
+        assert list(rep.translations) == list(itertools.combinations(range(min(t.n, 6)), 2))
+        assert len(rep.witnesses) == t.n * (t.n - 1) // 2
+        for maps in (rep.witnesses, rep.translations):
+            for key in [(1, 0), (0, t.n), (-1, 0), [0, 1], 0, (0, 1, 2), (0.5, 1), ("0", 1)]:
+                with pytest.raises(KeyError):
+                    maps[key]
+        assert calls == []
+        assert (0, 1) in rep.translations[(0, 1)].pairs and (0, 1) in rep.witnesses[(0, 1)].pairs
+        assert calls == ["t", "w"]
 
 
 def test_point_transitive_maps():
@@ -450,6 +472,24 @@ def test_translations_match_point_transitive_maps():
                 assert phi.pairs == point_transitive_map(reg, x, y).pairs, (t.labels, s, x, y)
                 checked += 1
     assert checked > 10_000
+
+
+# One digest over the keys, their order and the pairs of every witness and
+# translation that is_homogeneous returns on a fixed set of towers.
+# Refactors of the oracle keep it; a change that alters any map on purpose
+# records the new digest and says why.
+
+MAPS_DIGEST = "176de4b4cf05a959720c6e5e58f21335b899f5c98bd7ba742b438ab6798eda97"
+
+
+def test_homogeneity_maps_match_recorded_digest():
+    h = hashlib.sha256()
+    for t in exhaustive_towers(5, 3):
+        for s in range(max(t.k, 1)):
+            rep = is_homogeneous(t, s)
+            for maps in (rep.witnesses, rep.translations):
+                h.update(repr((t.labels, s, [(key, sorted(phi.pairs)) for key, phi in maps.items()])).encode())
+    assert h.hexdigest() == MAPS_DIGEST
 
 
 def test_point_transitive_requires_uniform():

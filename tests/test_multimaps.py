@@ -1,5 +1,7 @@
 import itertools
+import pathlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -402,7 +404,8 @@ def test_shift_0_tree_codes_give_the_search_witness():
     # stays the reference, answer for answer and witness for witness
     def agree(X, Y, pair=None):
         fast = search_equivalence(X, Y, 0, require_pair=pair)
-        slow = multimaps._backtrack(X, Y, 0, pair, multimaps.DEFAULT_SEARCH_CAP)
+        ctx = multimaps._build_context(X, Y, 0)
+        slow = multimaps._backtrack(X, Y, ctx, pair, multimaps.DEFAULT_SEARCH_CAP)
         assert (fast and sorted(fast.pairs)) == (slow and sorted(slow.pairs)), (
             X.labels, Y.labels, pair,
         )
@@ -532,32 +535,61 @@ def test_search_context_matches_the_shift_predicate():
             )
 
 
-def test_search_context_cache_is_bounded():
-    multimaps._context_cache.cache_clear()
-    t = gen_product([2, 3])
-    searches = 3 * multimaps.CONTEXT_CACHE_SIZE
-    for size in range(1, searches + 1):
-        search_equivalence(t, gen_product([size]), 1)
-        assert multimaps._context_cache.cache_info().currsize <= multimaps.CONTEXT_CACHE_SIZE
-    info = multimaps._context_cache.cache_info()
-    assert info.currsize == multimaps.CONTEXT_CACHE_SIZE and info.misses == searches
-
-
-def test_homogeneity_builds_one_search_context(searched_pairs):
-    # shift 0 reads the tree codes and searches nothing; above it the tree
-    # codes sort the pairs into orbits and one bitset context serves every
-    # orbit's search
+def test_homogeneity_builds_one_search_context(monkeypatch, searched_pairs):
+    # every call builds its own tables and keeps none: one tree-code table,
+    # which alone answers shift 0, and above it one bitset context that
+    # serves every orbit's search; reading the maps builds no more
+    built = []
+    for name in ("_TreeCodes", "_build_context"):
+        make = getattr(multimaps, name)
+        monkeypatch.setattr(multimaps, name, lambda *a, make=make, name=name: built.append(name) or make(*a))
     t = gen_product([2, 3, 2])
-    multimaps._context_cache.cache_clear()
-    rep = is_homogeneous(t, max_shift=0)
-    assert rep.oracle is True and searched_pairs == []
-    info = multimaps._context_cache.cache_info()
-    assert info.misses == 1 and info.hits == 0
-    multimaps._context_cache.cache_clear()
-    rep = is_homogeneous(t, max_shift=1)
-    assert rep.oracle is True and len(searched_pairs) == t.k
-    info = multimaps._context_cache.cache_info()
-    assert info.misses == 2 and info.hits == len(searched_pairs) - 1
+    for shift, tables in [(0, ["_TreeCodes"]), (1, ["_TreeCodes", "_build_context"])] * 2:
+        built.clear()
+        searched_pairs.clear()
+        rep = is_homogeneous(t, max_shift=shift)
+        assert rep.oracle is True and len(searched_pairs) == (t.k if shift else 0)
+        assert len(list(rep.witnesses.values())) == t.n * (t.n - 1) // 2
+        assert built == tables, shift
+
+
+def test_no_oracle_state_outlives_its_caller():
+    X, Y = gen_product([2, 3]), gen_product([2, 3])
+    results = [search_equivalence(X, Y, 0), search_equivalence(X, Y, 1), is_homogeneous(X, 1)]
+    assert all(r is not None for r in results) and results[2].oracle is True
+    refs = weakref.ref(X), weakref.ref(Y)
+    del results, X, Y
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_one_sided_tree_codes_match_the_two_sided_ones():
+    # _TreeCodes(T, T) runs one pass for both sides; a copy of T on the
+    # other side runs two, and every table and witness must agree
+    rng = random.Random(17)
+    towers = [*exhaustive_towers(6, 3), *(random_tower(rng, 12, 4) for _ in range(40))]
+    for t in towers:
+        one, two = multimaps._TreeCodes(t, t), multimaps._TreeCodes(t, Tower(t.labels))
+        assert (one.rows, one.paths, one.equivalent) == (two.rows, two.paths, two.equivalent)
+        assert one.groups == two.groups
+        paths = one.paths[0]
+        by_key: dict = {}
+        for x, y in itertools.product(range(t.n), repeat=2):
+            d = t.dist(x, y)
+            by_key.setdefault((paths[one.c][x], d, paths[d][y]), []).append((x, y))
+        required = [()]
+        for (x0, y0), *more in rng.sample(list(by_key.values()), min(3, len(by_key))):
+            x, y = rng.choice(more or [(x0, y0)])
+            required += [((x0, y0),), ((x0, x), (y0, y))]
+        for req in required:
+            a, b = one.witness(*req), two.witness(*req)
+            assert (a and a.pairs) == (b and b.pairs), (t.labels, req)
+
+
+def test_classify_reads_no_oracle_tables():
+    # the homogeneity oracle's tables and searches stay inside multimaps
+    text = (pathlib.Path(multimaps.__file__).parent / "classify.py").read_text()
+    for needle in ("_TreeCodes", "_backtrack", "_build_context", ".paths"):
+        assert needle not in text, needle
 
 
 def test_tree_code_witness_holds_two_pairs_of_one_orbit():
@@ -567,10 +599,11 @@ def test_tree_code_witness_holds_two_pairs_of_one_orbit():
     towers = [*exhaustive_towers(5, 3), *(random_tower(rng, 12, 4) for _ in range(40))]
     checked = 0
     for t in towers:
-        rep = is_homogeneous(t, 0)
-        codes, by_key = rep.witnesses.codes, {}
+        codes, by_key = multimaps._TreeCodes(t, t), {}
+        paths = codes.paths[0]
         for x, y in itertools.permutations(range(t.n), 2):
-            by_key.setdefault(rep.witnesses.key(x, y), []).append((x, y))
+            d = t.dist(x, y)
+            by_key.setdefault((paths[codes.c][x], d, paths[d][y]), []).append((x, y))
         for pairs in by_key.values():
             (x0, y0), (x, y) = pairs[0], rng.choice(pairs)
             g = codes.witness((x0, x), (y0, y))
