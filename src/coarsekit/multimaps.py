@@ -41,7 +41,10 @@ per source level a (the points y' whose level from y lies in a's
 interval), and for each source point x its shells (the points at exactly
 level a from x) spread at stride m.  A shell times a fit mask puts one
 copy of the m-bit fit in the block of each point of the shell, with no
-carries, and compat of (x, y) is the sum over a of these products.  A
+carries, and compat of (x, y) is the sum over a of these products.  The
+shells are built for every point up front; a row is built the first time
+the search reads it and kept in the context, so a context holds only the
+rows its searches read: a required pair's and one per search node.  A
 tower's balls come from its class tree, so no n*n or (n*m)^2 matrix is
 built for towers.  Viability is tested bit-parallel on the blocks of m
 pair ids: one carry test finds every source whose block has no allowed
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -435,9 +437,26 @@ def _balls(chain: EntourageChain, stride: int) -> list:
     return balls
 
 
+class _Rows(dict):
+    """compat[p] for the pair id p = x*m + y, built on first read and kept:
+    the sum over x's shells of the shell times y's fit at its level."""
+
+    def __init__(self, shells: list, m: int):
+        super().__init__()
+        self.shells, self.m = shells, m
+
+    def __missing__(self, p: int) -> int:
+        x, y = divmod(p, self.m)
+        row = 0
+        for shell, fit in self.shells[x]:
+            row += shell * fit[y]
+        self[p] = row
+        return row
+
+
 @dataclass(frozen=True)
 class _SearchContext:
-    compat: tuple      # per pair id, bitmask of compatible pair ids
+    compat: _Rows      # per pair id read so far, bitmask of compatible pair ids
     pairs_of_x: tuple
     pairs_of_y: tuple
     ones: int          # bit x*m for every source x: the first bit of its block
@@ -471,24 +490,22 @@ def _build_context(X: EntourageChain, Y: EntourageChain, s: int) -> _SearchConte
     # the points at exactly level a from x, spread at stride m: times an
     # m-bit fit mask, each point x' gets its own copy in block x', no carries
     ballX = _balls(X, m)
-    compat = []
+    shells = []
     for x in range(n):
-        row = None
-        inner = 0
+        inner, parts = 0, []
         for level, fit in zip(ballX, fits):
             ball = level[x]
             if ball != inner:
-                part = map((ball & ~inner).__mul__, fit)
-                row = list(part) if row is None else list(map(operator.add, row, part))
+                parts.append((ball & ~inner, fit))
                 inner = ball
-        compat.extend(row)
+        shells.append(parts)
     ones = sum(1 << (x * m) for x in range(n))
     pairs_of_x = tuple(((1 << m) - 1) << (x * m) for x in range(n))
     pairs_of_y = tuple(ones << y for y in range(m))
     folds = []
     while 1 << len(folds) < n:
         folds.append(m << len(folds))
-    return _SearchContext(tuple(compat), pairs_of_x, pairs_of_y, ones, ones << (m - 1), tuple(folds))
+    return _SearchContext(_Rows(shells, m), pairs_of_x, pairs_of_y, ones, ones << (m - 1), tuple(folds))
 
 
 class _TreeCodes:
@@ -758,13 +775,16 @@ class LargeSubsetWitness:
 def equivalence_to_large_subsets(phi: MultiMap) -> LargeSubsetWitness:
     if not (phi.is_total() and phi.is_surjective()):
         raise ValueError("needs a total surjective multi-map")
-    f = {x: min(phi.image(x)) for x in range(phi.source.n)}
-    large_y = sorted(set(f.values()))
+    # the least image of every source, in one pass over the pairs
+    least = [phi.target.n] * phi.source.n
+    for x, y in phi.pairs:
+        if y < least[x]:
+            least[x] = y
+    # each least image's least source
     section = {}
-    for x in range(phi.source.n):
-        y = f[x]
-        if y not in section or x < section[y]:
-            section[y] = x
+    for x, y in enumerate(least):
+        section.setdefault(y, x)
+    large_y = sorted(section)
     large_x = sorted(section.values())
     bij = tuple(sorted((section[y], y) for y in large_y))
     lx = is_large(phi.source, large_x)

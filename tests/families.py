@@ -168,3 +168,19 @@ def deep_tower(n):
     """n points over n - 1 distinct levels: level i joins the last i + 1
     points, so point 0 joins only at the top."""
     return Tower([[min(x, n - 1 - i) for x in range(n)] for i in range(n)])
+
+
+def ordered_factorizations(n):
+    """Every way to write n as an ordered product of factors >= 2."""
+    if n == 1:
+        return [()]
+    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in ordered_factorizations(n // f)]
+
+
+def factorization_pairs():
+    """Every ordered pair of distinct ordered factorizations of one n, for
+    n from 4 to 16."""
+    return [
+        (a, b) for n in range(4, 17) for a in ordered_factorizations(n)
+        for b in ordered_factorizations(n) if a != b
+    ]

@@ -32,7 +32,7 @@ from coarsekit.multimaps import (
     search_equivalence,
 )
 
-from families import deep_tower, exhaustive_towers, random_tower
+from families import deep_tower, exhaustive_towers, factorization_pairs, random_tower
 
 
 def three_point_tower():
@@ -261,23 +261,13 @@ def test_build_equal_spectra_random_towers_zero_shift():
         assert verify_certificate(cert).ok
 
 
-def ordered_factorizations(n):
-    """Every way to write n as an ordered product of factors >= 2."""
-    if n == 1:
-        return [()]
-    return [(f, *rest) for f in range(2, n + 1) if n % f == 0 for rest in ordered_factorizations(n // f)]
-
-
 def test_certificate_shift_against_least_oracle_shift(monkeypatch):
     """On every ordered pair of distinct ordered factorizations of 4..16
     points, the certificate's shift is never below the least shift the
     oracle finds, trying the swapped orientation when one hits the node
     cap.  Where it is above, the pair is pinned: the certificate has 2 and
     the oracle 1."""
-    pairs = [
-        (a, b) for n in range(4, 17) for a in ordered_factorizations(n)
-        for b in ordered_factorizations(n) if a != b
-    ]
+    pairs = factorization_pairs()
     assert len(pairs) == 152
     monkeypatch.setenv("COARSEKIT_SEARCH_CAP", "200000")
     gaps = set()

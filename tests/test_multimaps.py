@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pathlib
 import random
@@ -32,8 +33,8 @@ from coarsekit.multimaps import (
     parse_multimap,
     search_equivalence,
 )
-from coarsekit.classify import is_homogeneous
-from families import exhaustive_towers, random_tower, uniform_towers
+from coarsekit.classify import build_equivalence, is_homogeneous
+from families import exhaustive_towers, factorization_pairs, random_tower, uniform_towers
 
 
 def tuple_index_map(x_tower, y_tower):
@@ -530,9 +531,63 @@ def test_search_context_matches_the_shift_predicate():
     for X, Y in cases:
         for s in range(4):
             ctx = multimaps._build_context(X, Y, s)
-            assert (ctx.compat, ctx.pairs_of_x, ctx.pairs_of_y) == reference_context(X, Y, s), (
-                X, Y, s,
-            )
+            rows = tuple(ctx.compat[p] for p in range(X.n * Y.n))
+            assert (rows, ctx.pairs_of_x, ctx.pairs_of_y) == reference_context(X, Y, s), (X, Y, s)
+
+
+def test_search_context_builds_only_the_rows_it_reads(monkeypatch):
+    # a row of compat is built when the search first reads it; one search
+    # reads a few dozen of the n*m, and each equals the reference row
+    contexts = []
+    build = multimaps._build_context
+    monkeypatch.setattr(multimaps, "_build_context", lambda *a: contexts.append(build(*a)) or contexts[-1])
+    rng = random.Random(18)
+    X, Y = relabel(rng, gen_product([2, 4, 4])), relabel(rng, gen_product([4, 8]))
+    assert search_equivalence(X, Y, 1) is not None
+    (ctx,) = contexts
+    n, m = X.n, Y.n
+    assert 0 < len(ctx.compat) < n * m / 4
+    compat = reference_context(X, Y, 1)[0]
+    assert all(row == compat[p] for p, row in ctx.compat.items())
+
+
+# One digest over the witness, None or cap of search_equivalence at shifts 1
+# and 2, with and without a required pair, on seeded relabellings of the
+# benchmark's oracle pairs, a seeded sample of the 4..16-point factorization
+# pairs and some non-cellular chains.  Refactors of the search keep it; a
+# change that alters a witness on purpose records the new digest and says why.
+
+WITNESS_DIGEST = "f993bf963f6516f8267969e7227f0674ffdec7e6a1670d27ff610b21519db6eb"
+
+ORACLE_PAIRS = [
+    ((2, 2, 2, 2, 2), (2, 16)), ((16, 2), (2, 2, 2, 2, 2)), ((2, 4, 4), (4, 8)),
+    ((16, 2), (2, 2, 8)), ((2, 2, 8), (8, 4)), ((2, 4, 4), (2, 16)), ((8, 2), (4, 8)),
+    ((4, 6), (2, 12)), ((2, 2, 2, 2), (8, 2)), ((4, 4), (8, 2)), ((2, 2, 2, 2, 2), (16, 2)),
+]
+
+
+def test_search_witnesses_match_recorded_digest(monkeypatch):
+    monkeypatch.setenv("COARSEKIT_SEARCH_CAP", "20000")
+    rng = random.Random(18)
+    cases = [(relabel(rng, gen_product(a)), relabel(rng, gen_product(b)))
+             for a, b in ORACLE_PAIRS for _ in range(2)]
+    cases += [(relabel(rng, gen_product(a)), relabel(rng, gen_product(b)))
+              for a, b in rng.sample(factorization_pairs(), 24)]
+    for n, m in [(5, 7), (9, 4), (12, 6)]:
+        cx = gen_interval(n, [r for r in (1, 3) if r < n - 1] + [n - 1])
+        cy = gen_interval(m, [r for r in (2,) if r < m - 1] + [m - 1])
+        cases += [(cx, cy), (cy, relabel(rng, gen_product([2, 2, 2]))), (gen_product([2, 3]), cx)]
+    h = hashlib.sha256()
+    for X, Y in cases:
+        for s in (1, 2):
+            for pair in (None, (rng.randrange(X.n), rng.randrange(Y.n))):
+                try:
+                    phi = search_equivalence(X, Y, s, require_pair=pair)
+                    out = None if phi is None else sorted(phi.pairs)
+                except SearchCapExceeded:
+                    out = "cap"
+                h.update(repr((X.n, Y.n, s, pair, out)).encode())
+    assert h.hexdigest() == WITNESS_DIGEST
 
 
 def test_homogeneity_builds_one_search_context(monkeypatch, searched_pairs):
@@ -626,6 +681,33 @@ def test_large_subset_witness():
     rep = check_equivalence(phi)
     assert w.y_large_level <= rep.s
     assert w.x_large_level <= rep.t
+
+
+def test_large_subsets_match_the_per_point_formula():
+    # the least image of x is min(phi.image(x)), and each least image is
+    # kept with its least source
+    def reference(phi):
+        f = {x: min(phi.image(x)) for x in range(phi.source.n)}
+        section = {}
+        for x in range(phi.source.n):
+            if f[x] not in section or x < section[f[x]]:
+                section[f[x]] = x
+        large_x, large_y = sorted(section.values()), sorted(set(f.values()))
+        bij = tuple(sorted((section[y], y) for y in large_y))
+        return tuple(large_x), tuple(large_y), bij, is_large(phi.source, large_x), is_large(phi.target, large_y)
+
+    rng = random.Random(19)
+    maps = []
+    for a, b in rng.sample(factorization_pairs(), 30):
+        X, Y = relabel(rng, gen_product(a)), relabel(rng, gen_product(b))
+        maps.append(build_equivalence(X, Y).multimap())
+    for _ in range(60):
+        X, Y = random_tower(rng, 12, 4), random_tower(rng, 12, 4)
+        pairs = {(x, rng.randrange(Y.n)) for x in range(X.n)} | {(rng.randrange(X.n), y) for y in range(Y.n)}
+        maps.append(MultiMap(X, Y, pairs | {(rng.randrange(X.n), rng.randrange(Y.n)) for _ in range(X.n)}))
+    for phi in maps:
+        w = equivalence_to_large_subsets(phi)
+        assert (w.large_x, w.large_y, w.bijection, w.x_large_level, w.y_large_level) == reference(phi)
 
 
 # --- text format ------------------------------------------------------------------
