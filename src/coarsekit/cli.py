@@ -16,6 +16,8 @@ ordinal answer with a numeral longer than int() prints exits 2 as well.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 
@@ -344,12 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parse_args keeps no state on the parser, so one parser serves every run()
+_parser = functools.cache(build_parser)
+
+
 def run(argv, out=None, err=None) -> int:
+    """Run one command; every byte goes to out/err (default: sys.stdout/stderr),
+    argparse's usage errors, --help and --version included.  Returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -185,7 +185,8 @@ class CardinalSym:
 
     @staticmethod
     def finite(n: int) -> "CardinalSym":
-        if index(n) < 0:
+        n = index(n)
+        if n < 0:
             raise ValueError("finite cardinals are non-negative")
         return CardinalSym(0, n)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from coarsekit.balleans import Tower, format_ballean, gen_interval, gen_product, parse_ballean
 from coarsekit.classify import format_certificate, build_equivalence
+from coarsekit import cli
 from coarsekit.cli import run
 from coarsekit.coordinates import parse_coordmap
 from coarsekit.multimaps import parse_multimap
@@ -383,6 +385,48 @@ def test_missing_file_exit_2():
     assert invoke(["inspect", "/nonexistent/file"])[0] == 2
 
 
+def test_argparse_output_goes_to_out_and_err(capsys):
+    code, out, err = invoke(["gen", "cube"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: coarsekit gen") and "error: " in err
+    assert invoke(["--version"]) == (0, "coarsekit 0.1.0\n", "")
+    code, out, err = invoke(["--help"])
+    assert code == 0 and out.startswith("usage: coarsekit") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_reused_parser_keeps_calls_independent(tmp_path, monkeypatch):
+    f = write(tmp_path, "f.ballean", format_ballean(_relabelled(gen_product([2, 2, 2]).labels, 7)))
+    x = write(tmp_path, "x.ballean", format_ballean(_relabelled(gen_product([2, 2]).labels, 8)))
+    y = write(tmp_path, "y.ballean", format_ballean(gen_product([4, 1])))
+    commands = [
+        ["homogeneous", f, "--max-shift", "1"], ["homogeneous", f],
+        ["equiv", x, y, "--oracle", "--max-shift", "0"], ["equiv", x, y],
+        ["coordinatize", f, "--base", "17"], ["coordinatize", f],
+    ]
+    reused = [invoke(argv) for argv in commands]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [invoke(argv) for argv in commands]
+
+
+def test_every_parser_is_built_in_the_first_run(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    counts = []
+    for k in range(20):
+        invoke(["ordinal", "eval", f"w + {k}"] if k % 2 else ["gen", "cube", "--bad"])
+        counts.append(len(built))
+    # the top-level parser and one per subcommand, all in the first call
+    assert counts == [9] * 20
+
+
 def test_python_m_coarsekit(tmp_path):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -394,6 +438,13 @@ def test_python_m_coarsekit(tmp_path):
     res = subprocess.run([sys.executable, "-m", "coarsekit", "inspect", str(path)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0 and "points: 4\n" in res.stdout
+    res = subprocess.run([sys.executable, "-m", "coarsekit", "gen", "cube"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("usage: coarsekit gen")
+    res = subprocess.run([sys.executable, "-m", "coarsekit", "--version"],
+                         capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "coarsekit 0.1.0\n", "")
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):

@@ -1,5 +1,7 @@
 import random
 
+import numpy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -214,6 +216,11 @@ def test_cardinal_tail_examples():
 def test_cardinal_sym_order():
     assert CardinalSym.finite(2) < CardinalSym.finite(5) < ALEPH0 < ALEPH1
     assert not ALEPH0 < CardinalSym.finite(10**9)
+
+
+def test_finite_cardinal_stores_a_plain_int():
+    assert str(CardinalSym.finite(True)) == "1"
+    assert type(CardinalSym.finite(numpy.int64(3)).value) is int
 
 
 @pytest.mark.parametrize(
