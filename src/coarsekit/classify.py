@@ -20,6 +20,7 @@ search per orbit of point pairs above it).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,40 +68,36 @@ def cumulative_products(values: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def _aligned(X: Tower, xb: Sequence[int], Y: Tower, yb: Sequence[int]):
+    """The boundaries of xb and yb at which X and Y, both uniform when
+    regrouped there, have equal class counts.  A uniform tower's cumulative
+    spectrum at level i is n over its number of level-i classes, so these
+    are the earliest matches of the two regrouped cumulative spectra: equal
+    runs pair off from the bottom, an unpaired boundary joins the block
+    above it, and the two tops pair."""
+    nx = [len(X.parents[b]) for b in xb[:-1]]
+    ny = [len(Y.parents[b]) for b in yb[:-1]]
+    bx, by = [], []
+    i = j = 0
+    while i < len(nx) and j < len(ny):
+        if nx[i] == ny[j]:
+            bx.append(xb[i])
+            by.append(yb[j])
+        # the side with more classes steps; both step on a match
+        i, j = i + (nx[i] >= ny[j]), j + (ny[j] >= nx[i])
+    return (*bx, xb[-1]), (*by, yb[-1])
+
+
 def interleave(X: Tower, Y: Tower):
     """Block boundaries making two uniform towers' regrouped spectra equal
     level by level, chosen greedily with the earliest possible matches.
-    None when the cumulative products end at different totals.  Towers of
-    depth 0 can only be aligned with each other."""
-    sx, sy = spectrum(X), spectrum(Y)
-    if not sx.uniform or not sy.uniform:
+    None when the point counts (the totals of the cumulative spectra)
+    differ.  Towers of depth 0 can only be aligned with each other."""
+    if not spectrum(X).uniform or not spectrum(Y).uniform:
         raise ValueError("interleave needs uniform towers; regroup to uniform first")
-    cx = cumulative_products(sx.lo)
-    cy = cumulative_products(sy.lo)
-    if cx[-1] != cy[-1]:
+    if X.n != Y.n or (X.k == 0) != (Y.k == 0):
         return None
-    if (X.k == 0) != (Y.k == 0):
-        return None
-    bx, by = [0], [0]
-    i = j = 0
-    while i < X.k or j < Y.k:
-        a = cx[i + 1] if i < X.k else None
-        b = cy[j + 1] if j < Y.k else None
-        if a is not None and b is not None and a == b:
-            i += 1
-            j += 1
-            bx.append(i)
-            by.append(j)
-        elif b is None or (a is not None and a < b):
-            i += 1
-        else:
-            j += 1
-    if len(bx) > 1:
-        # trailing unit-branching levels leave the last match short of the
-        # top; both cumulative values there already equal the total
-        bx[-1] = X.k
-        by[-1] = Y.k
-    return tuple(bx), tuple(by)
+    return _aligned(X, range(X.num_levels), Y, range(Y.num_levels))
 
 
 def uniformizing_regroup(tower: Tower, max_width: Optional[int] = None):
@@ -163,11 +160,7 @@ class Certificate:
 
 
 def _boundary_shift_table(src_bounds, dst_bounds, src_k):
-    table = []
-    for alpha in range(src_k + 1):
-        j = next(i for i, b in enumerate(src_bounds) if b >= alpha)
-        table.append(dst_bounds[j])
-    return tuple(table)
+    return tuple(dst_bounds[bisect_left(src_bounds, alpha)] for alpha in range(src_k + 1))
 
 
 def build_equivalence(
@@ -175,11 +168,11 @@ def build_equivalence(
 ) -> Optional[Certificate]:
     """Construct and pre-verify a certificate between two towers, or None.
 
-    Non-uniform towers are first regrouped to uniform (the finest such
-    regrouping); the uniformized pair is interleaved onto a common
-    spectrum; minimum-basepoint codes of both regrouped towers then match
-    bijectively through the common product.  Fails only when the point
-    counts differ, or when max_shift is given and the verified shifts
+    The boundaries of each tower's finest uniform regrouping are aligned
+    where the class counts of the two agree, as interleave aligns uniform
+    towers; minimum-basepoint codes of both towers regrouped there then
+    match bijectively through the common product.  Fails only when the
+    point counts differ, or when max_shift is given and the verified shifts
     exceed it.
     """
     if not (isinstance(X, Tower) and isinstance(Y, Tower)):
@@ -201,14 +194,11 @@ def build_equivalence(
         transcript.append("X uniformized at boundaries " + ",".join(map(str, ubx)))
     if list(uby) != list(range(Y.k + 1)):
         transcript.append("Y uniformized at boundaries " + ",".join(map(str, uby)))
-    # never None: both cumulative totals are n, and n >= 2 rules out depth 0
-    il = interleave(regroup(X, ubx), regroup(Y, uby))
-    bx = tuple(ubx[i] for i in il[0])
-    by = tuple(uby[j] for j in il[1])
+    bx, by = _aligned(X, ubx, Y, uby)
     RX, RY = regroup(X, bx), regroup(Y, by)
     sx, sy = spectrum(RX), spectrum(RY)
     if sx.lo != sy.lo:
-        raise AssertionError("interleave produced unequal spectra")
+        raise AssertionError("aligned boundaries gave unequal spectra")
     transcript.append("interleaved boundaries X=" + ",".join(map(str, bx)))
     transcript.append("interleaved boundaries Y=" + ",".join(map(str, by)))
     transcript.append("common spectrum " + ",".join(map(str, sx.lo)))
@@ -296,7 +286,8 @@ class HomogeneityReport:
     which binds above shift 0 only), with failing_pair and witnesses as the
     evidence; translations holds the uniform regrouping's point-transitive
     maps of the pairs among the first min(n, 6) points.  Both mappings build
-    their maps on access.  homogeneous repeats the spectral verdict.
+    their maps on access, and the translations coordinatize the uniform
+    regrouping on their first read.  homogeneous repeats the spectral verdict.
     """
 
     shift: int
@@ -328,9 +319,10 @@ def is_homogeneous(
     bound = max((b - a for a, b in zip(bounds, bounds[1:])), default=1) - 1 if spectral else None
     translations: Mapping = {}
     if spectral:
-        # the regrouped tower is uniform; its translations act on the tower
-        cm = coordinatize(regroup(tower, bounds))
-        translations = _PairMaps(min(tower.n, 6), lambda x, y: _transposition(tower, cm, x, y))
+        # the regrouped tower is uniform; its translations act on the tower,
+        # and its numbering memo keeps the codes made on the first read
+        uniform = regroup(tower, bounds)
+        translations = _PairMaps(min(tower.n, 6), lambda x, y: _transposition(tower, coordinatize(uniform), x, y))
     witnesses: Mapping = {}
     failing = oracle = None
     if shift == 0 or tower.n <= oracle_cap:

@@ -28,7 +28,6 @@ from .balleans import (
     format_ballean,
     gen_interval,
     gen_product,
-    is_cellular,
     is_large,
     parse_ballean,
     validate,
@@ -186,7 +185,8 @@ def cmd_inspect(args, out, err):
     if rep.valid:
         ab = " ".join(f"j({i})={j}" for i, j in enumerate(rep.absorption))
         print(f"absorption: {ab}", file=out)
-    cellular = is_cellular(chain)
+    # validate squared every level: a level is transitive when it absorbs its own square
+    cellular = all(j == i for i, j in enumerate(rep.absorption))
     print(f"cellular: {'yes' if cellular else 'no'}", file=out)
     if isinstance(chain, Tower):
         ci = covering_invariants(chain)

@@ -32,7 +32,7 @@ from coarsekit.multimaps import (
     search_equivalence,
 )
 
-from families import deep_tower, exhaustive_towers, factorization_pairs, random_tower
+from families import deep_tower, exhaustive_towers, factorization_pairs, random_tower, uniform_spectra
 
 
 def three_point_tower():
@@ -106,6 +106,47 @@ def test_interleave_handles_unit_levels():
 def test_interleave_identical_dup_levels_stay_identity():
     t = gen_product([2, 1, 2])
     assert interleave(t, t) == ((0, 1, 2, 3), (0, 1, 2, 3))
+
+
+def greedy_interleave(X, Y):
+    """The cumulative-product greedy that interleave replaced, kept as its
+    reference: walk both cumulative spectra, match equal values, step the
+    smaller side, and move the last match to both tops."""
+    cx = cumulative_products(spectrum(X).lo)
+    cy = cumulative_products(spectrum(Y).lo)
+    if cx[-1] != cy[-1] or (X.k == 0) != (Y.k == 0):
+        return None
+    bx, by = [0], [0]
+    i = j = 0
+    while i < X.k or j < Y.k:
+        a = cx[i + 1] if i < X.k else None
+        b = cy[j + 1] if j < Y.k else None
+        if a is not None and b is not None and a == b:
+            i += 1
+            j += 1
+            bx.append(i)
+            by.append(j)
+        elif b is None or (a is not None and a < b):
+            i += 1
+        else:
+            j += 1
+    if len(bx) > 1:
+        bx[-1] = X.k
+        by[-1] = Y.k
+    return tuple(bx), tuple(by)
+
+
+def test_interleave_matches_the_cumulative_product_greedy():
+    spectra = set(uniform_spectra(12, 3))
+    for spec in list(spectra):
+        for at in range(len(spec) + 1):
+            spectra.add(spec[:at] + (1,) + spec[at:])
+    spectra.update([(1, 1), (2, 1, 1), (1, 1, 4), (2, 1, 1, 2)])
+    towers = [gen_product(spec) for spec in sorted(spectra)] + [Tower([[0]]), Tower([[0], [0]])]
+    assert any(t.k == 0 for t in towers) and len({t.n for t in towers}) > 10
+    for X in towers:
+        for Y in towers:
+            assert interleave(X, Y) == greedy_interleave(X, Y), (spectrum(X).lo, spectrum(Y).lo)
 
 
 # --- uniformizing regroup ----------------------------------------------------------
@@ -238,6 +279,32 @@ def test_build_nonuniform_goes_through_regrouping():
     y = Tower.from_partitions(3, [[[0, 1], [2]]])
     cert = build_equivalence(x, y)
     assert cert is not None
+    assert verify_certificate(cert).ok
+
+
+def uneven_product(factors, below, size):
+    """gen_product(factors) with a level inserted above level below: in every
+    other level-(below + 1) class the level-below classes group by size, the
+    rest stay whole.  Merging the new level into a neighbour evens it out."""
+    rows = gen_product(factors).labels
+    stride = 1
+    for f in factors[:below]:
+        stride *= f
+    ids: dict = {}
+    key = [(q, p // stride % factors[below] // size if q % 2 else 0) for p, q in enumerate(rows[below + 1])]
+    return Tower([*rows[:below + 1], [ids.setdefault(q, len(ids)) for q in key], *rows[below + 1:]])
+
+
+def test_build_equivalence_constructs_only_the_towers_it_coordinatizes(monkeypatch):
+    # certify's uneven slot: X = 4.2.8.4 and Y = 8.4.8, each uneven once
+    x, y = uneven_product((4, 2, 8, 4), 2, 2), uneven_product((8, 4, 8), 1, 2)
+    assert not spectrum(x).uniform and not spectrum(y).uniform
+    built = []
+    init = Tower.__init__
+    monkeypatch.setattr(Tower, "__init__", lambda self, labels: built.append(self) or init(self, labels))
+    cert = build_equivalence(x, y)
+    monkeypatch.undo()
+    assert len(built) == 2
     assert verify_certificate(cert).ok
 
 
@@ -472,14 +539,31 @@ def test_translations_match_point_transitive_maps():
 MAPS_DIGEST = "176de4b4cf05a959720c6e5e58f21335b899f5c98bd7ba742b438ab6798eda97"
 
 
-def test_homogeneity_maps_match_recorded_digest():
+def homogeneity_reports():
+    return ((t, s, is_homogeneous(t, s)) for t in exhaustive_towers(5, 3) for s in range(max(t.k, 1)))
+
+
+def maps_digest(reports):
+    """The digest over (tower, shift, report) triples, reading every map."""
     h = hashlib.sha256()
-    for t in exhaustive_towers(5, 3):
-        for s in range(max(t.k, 1)):
-            rep = is_homogeneous(t, s)
-            for maps in (rep.witnesses, rep.translations):
-                h.update(repr((t.labels, s, [(key, sorted(phi.pairs)) for key, phi in maps.items()])).encode())
-    assert h.hexdigest() == MAPS_DIGEST
+    for t, s, rep in reports:
+        for maps in (rep.witnesses, rep.translations):
+            h.update(repr((t.labels, s, [(key, sorted(phi.pairs)) for key, phi in maps.items()])).encode())
+    return h.hexdigest()
+
+
+def test_homogeneity_maps_match_recorded_digest():
+    assert maps_digest(homogeneity_reports()) == MAPS_DIGEST
+
+
+def test_translations_coordinatize_on_first_read(monkeypatch):
+    calls = []
+    coordinatize = classify.coordinatize
+    monkeypatch.setattr(classify, "coordinatize", lambda *a, **kw: calls.append(a) or coordinatize(*a, **kw))
+    reports = list(homogeneity_reports())
+    assert calls == []
+    assert maps_digest(reports) == MAPS_DIGEST
+    assert len(calls) == sum(len(rep.translations) for _, _, rep in reports) > 0
 
 
 def test_point_transitive_requires_uniform():

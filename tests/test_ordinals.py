@@ -139,6 +139,18 @@ def test_mul_noncommutative():
     assert ord_mul(W, fin(2)) == w_pow(1, 2)
 
 
+def test_operators_coerce_naturals_only():
+    assert str(OMEGA + 1) == "w + 1"
+    assert 1 + OMEGA == OMEGA
+    assert 2 * OMEGA == OMEGA
+    assert str(OMEGA * 2) == "w*2"
+    for bad in (1.5, "w"):
+        with pytest.raises(TypeError):
+            OMEGA + bad
+    with pytest.raises(ValueError):
+        OMEGA + (-1)
+
+
 def test_mul_omega_plus_one_by_omega():
     a = ord_add(W, ONE)
     assert ord_mul(a, W) == w_pow(2)

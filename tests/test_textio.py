@@ -138,6 +138,60 @@ def test_multimap_out_of_range_pair_names_its_own_line():
     assert str(e.value) == "line 4: source point 7 out of range"
 
 
+# One input per reader message, with the full text and the line it names.
+
+BALLEAN3 = "ballean v1\npoints 3\nlevels 2\n"
+CERT2 = (
+    "certificate v1\ntower X\nballean v1\npoints 2\nlevels 1\ntower Y\nballean v1\npoints 2\nlevels 1\n"
+    "multimap v1\npair 0 0\npair 1 1\nshift-fwd: 0 1\nshift-bwd: 0 1\nverified: pass s=0 t=0\n"
+)
+READER_MESSAGES = [
+    ("ballean", BALLEAN3 + "# cells\nlevel 1 cells: 0 x | 1 2\n", "line 5: bad point 'x'"),
+    ("ballean", BALLEAN3 + "level 1 cells: 0 1 | 1 2\n", "line 4: point 1 listed twice"),
+    ("ballean", BALLEAN3 + "level 1 cells: 0 | 1\n\n", "line 4: point 2 missing"),
+    ("ballean", BALLEAN3 + "level 1 cells: 0 3 | 1 2\n", "line 4: point 3 out of range 0..2"),
+    ("ballean", BALLEAN3 + "level 1 pairs: (0,1) 1,2\n", "line 4: bad pair '1,2'"),
+    ("ballean", BALLEAN3 + "level 1 pairs: (2,2)\n", "line 4: diagonal pair (2,2)"),
+    ("ballean", BALLEAN3 + "level 1 pairs: (0,3)\n", "line 4: pair (0,3) out of range"),
+    ("ballean", "ballean v1\n\npoints 0\nlevels 1\n", "line 3: points must be at least 1"),
+    ("ballean", "ballean v1\npoints 2\n# depth\nlevels 0\n", "line 4: levels 0 requires points 1"),
+    ("ballean", BALLEAN3 + "level 2 cells: 0 | 1 2\n", "line 4: level index 2 out of range 1..1"),
+    ("ballean", BALLEAN3 + "level 1 cells: 0 | 1 2\nlevel 1 cells: 0 1 | 2\n", "line 5: duplicate level 1"),
+    ("ballean", "ballean v1\npoints 3\nlevels 3\nlevel 1 cells: 0 | 1 | 2\n# no level 2\n",
+     "line 4: missing level 2"),
+    ("ballean", BALLEAN3 + "level 1 blocks: 0 | 1 2\n", "line 4: level body must be 'cells:' or 'pairs:'"),
+    ("ballean", BALLEAN3 + "level one cells: 0 | 1 2\n",
+     "line 4: expected 'level i cells:' or 'level i pairs:'"),
+    ("coordmap", "coordmap v1\nbase -1\ncode 0: 0\n", "line 2: expected 'base x'"),
+    ("coordmap", "coordmap v1\nbase 0\ncode a: 0\n", "line 3: expected 'code y: v0 v1 ...'"),
+    ("coordmap", "coordmap v1\nbase 0\ncode 0: 0\ncode 1: 1\ncode 0: 1\n",
+     "line 5: duplicate code line for point 0"),
+    ("coordmap", "coordmap v1\nbase 0\ncode 0: 0\ncode 1: -1\n", "line 4: coordinates must be naturals"),
+    ("coordmap", "coordmap v1\nbase 0\ncode 0: 0\ncode 2: 1\n", "line 4: code lines must cover points 0..n-1"),
+    ("certificate", CERT2.replace("levels 1\ntower Y", "levels 2\nlevel 1 pairs: (0,1) (1,2)\ntower Y")
+     .replace("points 2", "points 3", 1), "line 3: certificate towers must be cellular"),
+    ("certificate", CERT2.replace("shift-bwd: 0 1", "shift-bwd: 0 x"), "line 14: expected a list of naturals"),
+    ("certificate", CERT2.replace("s=0 t=0", "s=0"), "line 15: expected 'verified: pass s=N t=N'"),
+    ("certificate", CERT2 + "pair 1 0\n", "line 16: unexpected trailing content"),
+    ("multimap", "multimap v1\npair 0 0\npair 1\n", "line 3: expected 'pair x y'"),
+    ("multimap", "multimap v1\npair 0 0\nshift: 0 1\npair 1 1\n", "line 4: pair lines must precede shift tables"),
+]
+READERS = {
+    "ballean": parse_ballean,
+    "coordmap": parse_coordmap,
+    "certificate": parse_certificate,
+    "multimap": lambda text: parse_multimap(text, gen_product([2]), gen_product([2])),
+}
+
+
+@pytest.mark.parametrize("fmt, text, message", READER_MESSAGES)
+def test_reader_messages_name_their_lines(fmt, text, message):
+    with pytest.raises(FormatError) as e:
+        READERS[fmt](text)
+    assert str(e.value) == message
+    assert f"line {e.value.line}: " == message[: message.index(":") + 2]
+
+
 # --- input limits -----------------------------------------------------------------
 
 def test_huge_points_header_is_a_format_error(tmp_path):
