@@ -40,6 +40,16 @@ EXACT_COVER_LIMIT = 24
 BALLEAN_ENTRY_LIMIT = 1 << 22
 
 
+def _relprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The relational product of two boolean matrices: (x, z) holds when
+    a[x, y] and b[y, z] for some y.  It runs as one float32 BLAS product,
+    converting a level squared with itself once, and is exact at any n:
+    every term is 0 or 1, and a float sum of non-negative terms is at least
+    its largest term, so an entry is positive exactly when some term is 1."""
+    fa = a.astype(np.float32)
+    return (fa @ (fa if b is a else b.astype(np.float32))) > 0
+
+
 def _as_bool_matrix(m, n):
     a = np.asarray(m, dtype=bool)
     if a.shape != (n, n):
@@ -349,8 +359,7 @@ def validate(chain: EntourageChain) -> ValidationReport:
     issues = []
     n = chain.n
     diag = np.eye(n, dtype=bool)
-    for i in range(chain.num_levels):
-        m = chain.level(i)
+    for i, m in enumerate(chain.levels()):
         missing = np.flatnonzero(~m[diag])
         if missing.size:
             issues.append(f"level {i}: not reflexive: missing ({missing[0]}, {missing[0]})")
@@ -372,18 +381,15 @@ def validate(chain: EntourageChain) -> ValidationReport:
         x, y = hole[0]
         issues.append(f"level {chain.k}: must be the full relation: missing ({x}, {y})")
     absorption = []
-    for i in range(chain.num_levels):
-        m = chain.level(i)
-        sq = m @ m
+    for i, m in enumerate(chain.levels()):
+        sq = _relprod(m, m)
         j = next(
             (j for j in range(i, chain.num_levels) if not (sq & ~chain.level(j)).any()),
             None,
         )
         if j is None:
             x, y = np.argwhere(sq & ~chain.level(chain.k))[0]
-            issues.append(
-                f"level {i}: self-composition absorbed by no level: pair ({x}, {y})"
-            )
+            issues.append(f"level {i}: self-composition absorbed by no level: pair ({x}, {y})")
         absorption.append(j)
     return ValidationReport(not issues, tuple(issues), tuple(absorption))
 
@@ -507,38 +513,32 @@ def spectrum(tower: Tower) -> Spectrum:
 # --- cellularity -------------------------------------------------------------
 
 def is_cellular(chain: EntourageChain) -> bool:
-    """True iff every level is transitive (an equivalence relation)."""
-    if isinstance(chain, Tower):
-        return True
-    for i in range(chain.num_levels):
-        m = chain.level(i)
-        if ((m @ m) & ~m).any():
-            return False
-    return True
+    """True iff every level is transitive (an equivalence relation), read
+    off validate, which squares each level once through one BLAS product: a
+    level absorbs its own square exactly when it is transitive, on any
+    chain, valid or not."""
+    return validate(chain).absorption == tuple(range(chain.num_levels))
 
 
 def _components_labels(m: np.ndarray) -> list:
-    n = m.shape[0]
-    labels = [-1] * n
-    nxt = 0
-    for s in range(n):
-        if labels[s] != -1:
-            continue
-        stack = [s]
-        labels[s] = nxt
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(m[x]):
-                if labels[y] == -1:
-                    labels[y] = nxt
-                    stack.append(int(y))
-        nxt += 1
+    """Each point labelled by the least point of its component."""
+    labels = [-1] * m.shape[0]
+    for s in range(len(labels)):
+        if labels[s] == -1:
+            labels[s], stack = s, [s]
+            while stack:
+                for y in np.flatnonzero(m[stack.pop()]).tolist():
+                    if labels[y] == -1:
+                        labels[y] = s
+                        stack.append(y)
     return labels
 
 
 def cellular_hull(chain: EntourageChain) -> Tower:
     """Replace each level by its transitive closure and renormalize the
     chain (consecutive duplicate levels collapse)."""
+    if isinstance(chain, Tower):
+        return normalize(chain)
     return _distinct_levels([_components_labels(chain.level(i)) for i in range(chain.num_levels)])
 
 
@@ -606,8 +606,7 @@ def format_ballean(chain: EntourageChain) -> str:
             lines.append(f"level {i} cells: {cells}")
     else:
         for i in range(1, chain.k):
-            m = chain.level(i)
-            pairs = [(x, y) for x in range(chain.n) for y in range(x + 1, chain.n) if m[x, y]]
+            pairs = np.argwhere(np.triu(chain.level(i), 1)).tolist()
             body = " ".join(f"({x},{y})" for x, y in pairs)
             lines.append(f"level {i} pairs: {body}".rstrip())
     return "\n".join(lines) + "\n"
@@ -659,7 +658,11 @@ def read_ballean(lines: Lines) -> EntourageChain:
     """Read a ballean block: the cursor's lines to the end of its range.
 
     A file whose levels are all `cells:` becomes label rows directly; the
-    n x n relation matrices are built only when some level lists pairs."""
+    n x n relation matrices are built only when some level lists pairs.
+    Such a level, reflexive and symmetric, is transitive exactly when each
+    row x equals the row of its least member r(x), and r labels its classes:
+    O(n^2) a level, no squaring.  (For y in row x = row r(x): symmetry puts
+    r(x) in row y = row r(y), then r(y) in row r(x), so r(y) = r(x).)"""
     top_line = lines.header("ballean v1")
     points_line, n = lines.key("points")
     levels_line, k = lines.key("levels")
@@ -718,7 +721,7 @@ def read_ballean(lines: Lines) -> EntourageChain:
     for i in range(len(mats) - 1):
         if (mats[i] & ~mats[i + 1]).any():
             raise FormatError(f"level {i} is not contained in level {i + 1}", level_line[i])
-    chain = EntourageChain(mats)
-    if is_cellular(chain):
-        return Tower([_components_labels(m) for m in mats])
-    return chain
+    least = [m.argmax(axis=1) for m in mats]
+    if all(np.array_equal(m[r], m) for m, r in zip(mats, least)):
+        return Tower([r.tolist() for r in least])
+    return EntourageChain(mats)

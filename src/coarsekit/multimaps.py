@@ -70,7 +70,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .balleans import EntourageChain, Tower, is_large, subspace
+from .balleans import EntourageChain, Tower, _relprod, is_large, subspace
 from .textio import FormatError, Lines, is_natural
 
 DEFAULT_SEARCH_CAP = 10_000_000
@@ -211,10 +211,10 @@ class ShiftFn:
 
 def oscillation(phi: MultiMap, alpha: int) -> np.ndarray:
     """All pairs Phi(x) x Phi(x') over (x, x') in the source level-alpha
-    entourage, as a boolean relation on the target.  Boolean matrix
-    products are exact: no witness count can wrap."""
+    entourage, as a boolean relation on the target: two relational
+    products, exact at any size as balleans._relprod argues."""
     p = phi.matrix()
-    return p.T @ phi.source.level(alpha) @ p
+    return _relprod(_relprod(p.T, phi.source.level(alpha)), p)
 
 
 @dataclass(frozen=True)

@@ -549,3 +549,222 @@ def test_parse_accepts_only_ascii_naturals(text, line):
     with pytest.raises(FormatError) as ei:
         parse_ballean(text)
     assert ei.value.line == line
+
+
+# --- one squaring per level -------------------------------------------------------
+#
+# The references below are the boolean algorithms that validate, is_cellular
+# and the reader's dense path used before they shared balleans._relprod:
+# boolean matrix products, and components found by search.
+
+def reference_validate(chain):
+    if isinstance(chain, Tower):
+        return True, (), tuple(range(chain.num_levels))
+    issues, n = [], chain.n
+    diag = np.eye(n, dtype=bool)
+    for i in range(chain.num_levels):
+        m = chain.level(i)
+        missing = np.flatnonzero(~m[diag])
+        if missing.size:
+            issues.append(f"level {i}: not reflexive: missing ({missing[0]}, {missing[0]})")
+        asym = np.argwhere(m & ~m.T)
+        if asym.size:
+            x, y = asym[0]
+            issues.append(f"level {i}: not symmetric: contains ({x}, {y}) but not ({y}, {x})")
+    for i in range(chain.num_levels - 1):
+        extra = np.argwhere(chain.level(i) & ~chain.level(i + 1))
+        if extra.size:
+            x, y = extra[0]
+            issues.append(f"level {i}: not contained in level {i + 1}: pair ({x}, {y})")
+    stray = np.argwhere(chain.level(0) & ~diag)
+    if stray.size:
+        x, y = stray[0]
+        issues.append(f"level 0: must be the diagonal: contains ({x}, {y})")
+    hole = np.argwhere(~chain.level(chain.k))
+    if hole.size:
+        x, y = hole[0]
+        issues.append(f"level {chain.k}: must be the full relation: missing ({x}, {y})")
+    absorption = []
+    for i in range(chain.num_levels):
+        sq = chain.level(i) @ chain.level(i)
+        j = next((j for j in range(i, chain.num_levels) if not (sq & ~chain.level(j)).any()), None)
+        if j is None:
+            x, y = np.argwhere(sq & ~chain.level(chain.k))[0]
+            issues.append(f"level {i}: self-composition absorbed by no level: pair ({x}, {y})")
+        absorption.append(j)
+    return not issues, tuple(issues), tuple(absorption)
+
+
+def reference_is_cellular(chain):
+    return isinstance(chain, Tower) or not any(
+        ((m @ m) & ~m).any() for m in chain.levels()
+    )
+
+
+def reference_components(m):
+    labels, nxt = [-1] * m.shape[0], 0
+    for s in range(m.shape[0]):
+        if labels[s] == -1:
+            labels[s], stack = nxt, [s]
+            while stack:
+                for y in np.flatnonzero(m[stack.pop()]):
+                    if labels[y] == -1:
+                        labels[y] = nxt
+                        stack.append(int(y))
+            nxt += 1
+    return labels
+
+
+def reference_hull(mats):
+    rows = [reference_components(m) for m in mats]
+    return Tower([r for i, r in enumerate(rows) if i == 0 or r != rows[i - 1]])
+
+
+def outcome(f, *args):
+    """f's result, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def reference_read(mats):
+    """What the reader made of a file whose levels are these matrices."""
+    chain = EntourageChain(mats)
+    if reference_is_cellular(chain):
+        return Tower([reference_components(m) for m in mats])
+    return chain
+
+
+def random_valid_levels(rng, n, k, transitive):
+    """k + 1 nested reflexive symmetric levels from the diagonal to the full
+    relation; with transitive, every level is replaced by its closure."""
+    levels = [np.eye(n, dtype=bool)]
+    for _ in range(k - 1):
+        m = levels[-1].copy()
+        for _ in range(rng.randint(0, n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            m[a, b] = m[b, a] = True
+        if transitive:
+            row = np.array(reference_components(m))
+            m = row[:, None] == row[None, :]
+        levels.append(m)
+    levels.append(np.ones((n, n), dtype=bool))
+    return levels
+
+
+def spelled(levels, rng):
+    """A ballean file listing the middle levels, each equivalence relation
+    as cells: or pairs: at random, every other level as pairs:."""
+    n, k = levels[0].shape[0], len(levels) - 1
+    out = ["ballean v1", f"points {n}", f"levels {k}"]
+    order = list(range(1, k))
+    rng.shuffle(order)
+    for i in order:
+        m = levels[i]
+        if not ((m @ m) & ~m).any() and rng.random() < 0.5:
+            cells = Tower([range(n), reference_components(m), [0] * n]).classes(1)
+            out.append(f"level {i} cells: " + " | ".join(" ".join(map(str, c)) for c in cells))
+        else:
+            pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if m[x, y]]
+            out.append(f"level {i} pairs: " + " ".join(f"({x},{y})" for x, y in pairs))
+    return "\n".join(out) + "\n"
+
+
+def witness_258_levels():
+    n = 258
+    m = np.ones((n, n), dtype=bool)
+    m[256, 257] = m[257, 256] = False
+    return [np.eye(n, dtype=bool), m, np.ones((n, n), dtype=bool)]
+
+
+def test_validate_and_cellularity_match_boolean_squaring():
+    """validate, is_cellular and cellular_hull on valid chains, transitive
+    or not, and on chains broken in reflexivity, symmetry, nesting, the
+    diagonal bottom or the full top."""
+    rng = random.Random(21)
+    cases = [witness_258_levels()]
+    for _ in range(300):
+        n, k = rng.randint(1, 9), rng.randint(1, 4)
+        cases.append(random_valid_levels(rng, n, k, rng.random() < 0.4))
+    for _ in range(300):
+        levels = [m.copy() for m in random_valid_levels(rng, rng.randint(1, 9), rng.randint(1, 4), False)]
+        for _ in range(rng.randint(1, 3)):
+            m = levels[rng.randrange(len(levels))]
+            a, b = rng.randrange(m.shape[0]), rng.randrange(m.shape[0])
+            m[a, b] = not m[a, b]
+        cases.append(levels)
+    kinds = set()
+    for levels in cases:
+        chain = EntourageChain(levels)
+        rep = validate(chain)
+        assert (rep.valid, rep.issues, rep.absorption) == reference_validate(chain)
+        assert is_cellular(chain) == reference_is_cellular(chain)
+        assert outcome(cellular_hull, chain) == outcome(reference_hull, levels)
+        kinds.update(issue.split(": ")[1] for issue in rep.issues)
+        kinds.add(f"cellular {is_cellular(chain)}")
+    assert kinds == {
+        "not reflexive", "not symmetric", "must be the diagonal", "must be the full relation",
+        "self-composition absorbed by no level", "cellular True", "cellular False",
+    } | {f"not contained in level {i}" for i in range(1, 5)}
+
+
+def test_reader_matches_boolean_squaring():
+    """pairs: files and mixed cells:/pairs: files read to the same type and
+    the same labels or matrices as the boolean reference."""
+    rng = random.Random(2100)
+    cases = [witness_258_levels()]
+    for _ in range(400):
+        n, k = rng.randint(1, 12), rng.randint(2, 5)
+        cases.append(random_valid_levels(rng, n, k, rng.random() < 0.5))
+    kinds = set()
+    for levels in cases:
+        text = spelled(levels, rng)
+        got, want = parse_ballean(text), reference_read(levels)
+        assert type(got) is type(want) and got == want, text
+        kinds.add((type(got).__name__, "pairs:" in text, "cells:" in text))
+    assert {("Tower", True, True), ("EntourageChain", True, True), ("EntourageChain", True, False)} <= kinds
+
+
+def test_one_squaring_per_level(monkeypatch, tmp_path):
+    """The reader decides cellularity without squaring; inspect squares each
+    level once, in validate."""
+    from coarsekit import balleans
+
+    calls = []
+    relprod = balleans._relprod
+
+    def counted(a, b):
+        calls.append(a is b)
+        return relprod(a, b)
+
+    monkeypatch.setattr(balleans, "_relprod", counted)
+    chain = gen_interval(40, [1, 5, 39])
+    text = format_ballean(chain)
+    assert not isinstance(parse_ballean(text), Tower)
+    assert calls == []
+    path = tmp_path / "path.ballean"
+    path.write_text(text)
+    out = io.StringIO()
+    assert cli.run(["inspect", str(path)], out, io.StringIO()) == 0
+    assert "cellular: no\n" in out.getvalue()
+    assert calls == [True] * (chain.k + 1)
+
+
+def test_cellular_hull_of_a_tower_reads_its_labels(monkeypatch):
+    repeated = Tower([[0, 1, 2, 3], [0, 0, 1, 2], [0, 0, 1, 2], [0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0]])
+    cube = gen_product([2] * 12)
+    towers = [repeated, cube, three_point_tower(), *exhaustive_towers(4)]
+    # the hull of a non-tower chain holding the same levels is the reference
+    wants = [cellular_hull(EntourageChain(t.levels())) for t in towers[:1] + towers[2:]]
+
+    def no_matrix(self, i):
+        raise AssertionError("a tower's hull built a relation matrix")
+
+    monkeypatch.setattr(Tower, "level", no_matrix)
+    hulls = [cellular_hull(t) for t in towers]
+    assert hulls[1] == cube
+    assert hulls[0].num_levels == 4
+    for t, hull in zip(towers, hulls):
+        assert hull == normalize(t)
+    assert hulls[:1] + hulls[2:] == wants

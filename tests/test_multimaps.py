@@ -745,3 +745,17 @@ def test_multimap_rejects_non_ascii_digits(text, line):
     with pytest.raises(FormatError) as e:
         parse_multimap(text, gen_product([2, 2]), gen_product([4, 1]))
     assert e.value.line == line
+
+
+def test_oscillation_matches_boolean_products():
+    """The float32 relational products give exactly the boolean p.T @ L @ p."""
+    rng = random.Random(2101)
+    for trial in range(200):
+        n = 300 if trial < 3 else rng.randint(2, 9)
+        source = gen_interval(n, sorted({1, n - 1})) if trial % 3 == 0 else random_tower(rng, 9, 4)
+        target = random_tower(rng, 9, 4)
+        pairs = {(rng.randrange(source.n), rng.randrange(target.n)) for _ in range(rng.randint(0, 3 * source.n))}
+        phi = MultiMap(source, target, pairs)
+        p = phi.matrix()
+        for a in range(source.num_levels):
+            assert np.array_equal(oscillation(phi, a), p.T @ source.level(a) @ p)
